@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grading import HomogeneousIdeal, monomial_basis, _index_map
-from .operators import ShiftBlocks, operator_norm
+from .operators import ShiftBlocks
 from .polynomials import (
     MatrixPolynomial,
     Polynomial,
@@ -385,11 +385,16 @@ def character_check(
         proj.append(y)
         proj_res_sq += float(np.linalg.norm(x - Q @ y) ** 2)
 
-    t = blocks.assemble_polynomial(p, (0, N))
-    v = np.concatenate(proj)
-    value = complex(np.vdot(v, t.matrix @ v))  # <p(S) v, v>
+    # <p(S) v, v> = sum over k and n of <B_n v_n, v_{n+k}>, where B_n is the
+    # block H_n -> H_{n+k} of the degree-k part of p, compressed to 0..N
+    value = 0j
+    for k in p.homogeneous_degrees():
+        q = p.homogeneous_part(k)
+        for n in range(N - k + 1):
+            value += np.vdot(proj[n + k], blocks.mult_block(q, n) @ proj[n])
+    value = complex(value)
     pv = p(lam)
-    opn = operator_norm(t)
+    opn = blocks.window_norm(p, (0, N))
     disc = abs(value - pv)
     return CharacterCheckResult(
         vector_state_value=value,

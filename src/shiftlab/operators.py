@@ -1,15 +1,17 @@
 """Graded matrix blocks of the compressed shift tuple and derived probes.
 
 The compressed coordinate multipliers map the degree-n complement into the
-degree-(n+1) complement, so every operator polynomial assembles into a
-block-banded matrix indexed by degree.  Products of compressions equal
-compressions of products here (the ideal is invariant under multiplication),
-so blocks of p(S) are computed exactly from multiplication matrices.
+degree-(n+1) complement, so a homogeneous symbol of degree k is a family of
+blocks H_n -> H_{n+k}.  Products of compressions equal compressions of
+products here (the ideal is invariant under multiplication), so blocks of
+p(S) are computed exactly from multiplication matrices.  Every probe works on
+these per-degree blocks; a window of p(S) is assembled into one sparse matrix
+only when p couples degrees (inhomogeneous, or a matrix symbol whose entries
+have different degrees).
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -127,13 +129,9 @@ class ShiftBlocks:
             out -= B.conj().T @ B
         return out
 
-    # -- assembled banded truncations
+    # -- windows P_[m,M] p(S) P_[m,M]
 
-    def assemble_polynomial(
-        self, p, window: tuple[int, int]
-    ) -> "BandedTruncation":
-        """P_[m,M] p(S) P_[m,M] for a (matrix-valued) polynomial p."""
-        p = as_matrix_polynomial(p)
+    def _check_window(self, p: MatrixPolynomial, window: tuple[int, int]):
         m, M = window
         if not (0 <= m <= M <= self.n_max):
             raise IndexError(
@@ -142,35 +140,73 @@ class ShiftBlocks:
         if p.degree > M - m:
             warnings.warn(
                 f"polynomial degree {p.degree} exceeds window width {M - m}",
-                stacklevel=2,
+                stacklevel=3,
             )
+
+    def window_norm(self, p, window: tuple[int, int]) -> float:
+        """||P_[m,M] p(S) P_[m,M]|| for a (matrix-valued) polynomial p.
+
+        When every entry of p is homogeneous of one degree k, the window is a
+        direct sum of the blocks H_n -> H_{n+k}, so the norm is the largest
+        block norm over n in [m, M-k].  Symbols that couple degrees are
+        assembled.
+        """
+        p = as_matrix_polynomial(p)
+        degrees = p.homogeneous_degrees()
+        if len(degrees) > 1:
+            return operator_norm(self.assemble_polynomial(p, window))
+        self._check_window(p, window)
+        k = degrees[0] if degrees else 0
+        m, M = window
+
+        def entry(q, n):
+            if q.is_zero:  # mult_block would give the degree-0 shape
+                dims = (self.basis.dim_complement(n + k), self.basis.dim_complement(n))
+                return np.zeros(dims, dtype=complex)
+            return self.mult_block(q, n)
+
+        return max(
+            (operator_norm(np.block([[entry(q, n) for q in row] for row in p.entries]))
+             for n in range(m, M - k + 1)),
+            default=0.0,
+        )
+
+    def assemble_polynomial(
+        self, p, window: tuple[int, int]
+    ) -> "BandedTruncation":
+        """P_[m,M] p(S) P_[m,M] for a (matrix-valued) polynomial p."""
+        p = as_matrix_polynomial(p)
+        self._check_window(p, window)
+        m, M = window
+        L = M - m + 1
         dims = [self.basis.dim_complement(n) for n in range(m, M + 1)]
         offsets = {m + j: int(off) for j, off in enumerate(np.cumsum([0] + dims[:-1]))}
-        D = sum(dims)
         r, c = p.shape
-        mat = sp.lil_matrix((r * D, c * D), dtype=complex)
+        grid = [[None] * (c * L) for _ in range(r * L)]
         for i in range(r):
             for j in range(c):
                 entry = p.entries[i][j]
                 for k in entry.homogeneous_degrees():
                     q = entry.homogeneous_part(k)
                     for n in range(m, M - k + 1):
-                        blk = self.mult_block(q, n)
-                        ro = i * D + offsets[n + k]
-                        co = j * D + offsets[n]
-                        mat[ro:ro + blk.shape[0], co:co + blk.shape[1]] += blk
+                        # sparse, so bmat's np.asarray cannot merge equal-shape
+                        # dense blocks into one higher-dimensional array
+                        blk = sp.coo_matrix(self.mult_block(q, n))
+                        grid[i * L + n + k - m][j * L + n - m] = blk
+        # bmat takes each block row's height and column's width from its
+        # blocks, so anchor every row and column with a (possibly zero) block
+        for a in range(r * L):
+            if grid[a][0] is None:
+                grid[a][0] = sp.coo_matrix((dims[a % L], dims[0]), dtype=complex)
+        for b in range(c * L):
+            if grid[0][b] is None:
+                grid[0][b] = sp.coo_matrix((dims[0], dims[b % L]), dtype=complex)
         return BandedTruncation(
             window=(m, M),
-            matrix=mat.tocsr(),
+            matrix=sp.bmat(grid, format="csr", dtype=complex),
             degree_offsets=offsets,
-            degree_dims={m + j: dims[j] for j in range(len(dims))},
-            block_size=D,
-            poly_shape=(r, c),
-            poly_degree=p.degree,
+            degree_dims={m + j: dims[j] for j in range(L)},
         )
-
-    def assemble_monomial(self, alpha, window) -> "BandedTruncation":
-        return self.assemble_polynomial(Polynomial.monomial(alpha), window)
 
     # -- commutators
 
@@ -190,9 +226,7 @@ class ShiftBlocks:
             raise IndexError(f"commutator at degree {n} needs blocks at {n + 1}")
         return first - second
 
-    def commutator_blocks(
-        self, i: int, j: int, degrees, leakage_window: tuple[int, int] | None = None
-    ) -> "CommutatorSpectrum":
+    def commutator_blocks(self, i: int, j: int, degrees) -> "CommutatorSpectrum":
         degrees = list(degrees)
         singvals = {}
         for n in degrees:
@@ -200,34 +234,8 @@ class ShiftBlocks:
             singvals[n] = (
                 np.linalg.svd(C, compute_uv=False) if C.size else np.zeros(0)
             )
-        leak = None
-        if leakage_window is not None:
-            leak = self.commutator_cross_leakage(i, j, leakage_window)
         return CommutatorSpectrum(i=i, j=j, degrees=degrees,
-                                  singular_values=singvals,
-                                  cross_degree_leakage=leak)
-
-    def commutator_cross_leakage(self, i: int, j: int, window) -> float:
-        """Max entry of the assembled commutator outside degree-diagonal blocks.
-
-        Only interior degrees of the window are inspected; the top degree is
-        polluted by the truncation itself.
-        """
-        m, M = window
-        Ai = self.assemble_polynomial(Polynomial.variable(self.d, i), window)
-        Aj = self.assemble_polynomial(Polynomial.variable(self.d, j), window)
-        X = (Ai.matrix @ Aj.matrix.conj().T - Aj.matrix.conj().T @ Ai.matrix).toarray()
-        worst = 0.0
-        for n in range(m, M):  # interior rows
-            ro, rd = Ai.degree_offsets[n], Ai.degree_dims[n]
-            for n2 in range(m, M):
-                if n2 == n:
-                    continue
-                co, cd = Ai.degree_offsets[n2], Ai.degree_dims[n2]
-                blk = X[ro:ro + rd, co:co + cd]
-                if blk.size:
-                    worst = max(worst, float(np.abs(blk).max()))
-        return worst
+                                  singular_values=singvals)
 
     # -- structural diagnostics
 
@@ -244,30 +252,11 @@ class ShiftBlocks:
 
     def generator_residual(self, window: tuple[int, int]) -> float:
         """max_g ||g(S)|| on the inner part of the window (should vanish)."""
-        worst = 0.0
-        for g in self.basis.ideal.generators:
-            t = self.assemble_polynomial(g, window)
-            inner = t.restrict_degrees(window[0], window[1] - g.degree)
-            worst = max(worst, operator_norm(inner))
-        return worst
-
-    def grading_leakage(self, window: tuple[int, int]) -> float:
-        """Max assembled entry of any S_i outside the first superdiagonal band."""
         m, M = window
-        worst = 0.0
-        for i in range(1, self.d + 1):
-            t = self.assemble_polynomial(Polynomial.variable(self.d, i), window)
-            X = t.matrix.toarray()
-            for n in range(m, M + 1):
-                ro, rd = t.degree_offsets[n], t.degree_dims[n]
-                for n2 in range(m, M + 1):
-                    if n == n2 + 1:
-                        continue
-                    co, cd = t.degree_offsets[n2], t.degree_dims[n2]
-                    blk = X[ro:ro + rd, co:co + cd]
-                    if blk.size:
-                        worst = max(worst, float(np.abs(blk).max()))
-        return worst
+        return max(
+            (self.window_norm(g, (m, M - g.degree)) for g in self.basis.ideal.generators),
+            default=0.0,
+        )
 
     # -- essential norm estimation
 
@@ -286,9 +275,7 @@ class ShiftBlocks:
                 raise ValueError(
                     f"window ({m},{M}) narrower than twice deg p = {p.degree}"
                 )
-        grid = {}
-        for m, M in schedule:
-            grid[(m, M)] = operator_norm(self.assemble_polynomial(p, (m, M)))
+        grid = {(m, M): self.window_norm(p, (m, M)) for m, M in schedule}
         m_star = max(m for m, _ in grid)
         M_star = max(M for m, M in grid if m == m_star)
         violations = _monotonicity_violations(grid)
@@ -308,6 +295,11 @@ class ShiftBlocks:
         """Relative Frobenius residual of S_i* S_j against the span of
         S^mu (S^nu)* with |mu|, |nu| <= k, on the edge-trimmed window [k, M-k].
 
+        The target preserves degree, and a word with |mu| != |nu| maps H_n
+        into H_{n+|mu|-|nu|}, so it is orthogonal to the target and to every
+        word with |mu| = |nu|; the fit uses only the latter, on the diagonal
+        blocks H_n -> H_n.
+
         target="product_adjoint" switches to S_i S_j*, which lies inside the
         dictionary and must give residual zero (a sanity direction).
         """
@@ -315,57 +307,40 @@ class ShiftBlocks:
             raise ValueError("dictionary degree must be at least 1")
         if M < 2 * k + 2:
             raise ValueError(f"window top {M} too small for trim width {k}")
-        window = (0, M)
-        A = {}
-        for deg in range(k + 1):
-            for mu in monomial_basis(self.d, deg):
-                A[mu] = self.assemble_monomial(mu, window)
-        Ti = A[_unit_index(self.d, i)].matrix
-        Tj = A[_unit_index(self.d, j)].matrix
-        any_t = next(iter(A.values()))
+        if M > self.n_max:
+            raise IndexError(f"window top {M} beyond cached n_max={self.n_max}")
+        degrees = range(k, M - k + 1)
+
+        def stack(blocks):
+            return np.concatenate([b.ravel() for b in blocks])
+
         if target == "adjoint_product":
-            raw = Ti.conj().T @ Tj
+            tvec = stack(self.shift_block(i, n).conj().T @ self.shift_block(j, n)
+                         for n in degrees)
         elif target == "product_adjoint":
-            raw = Ti @ Tj.conj().T
+            tvec = stack(self.shift_block(i, n - 1) @ self.shift_block(j, n - 1).conj().T
+                         for n in degrees)
         else:
             raise ValueError(f"unknown target {target!r}")
-        target = _trim(raw, any_t, k, M - k)
-        tnorm = np.linalg.norm(target)
         cols = []
-        keys = sorted(A)
-        for mu in keys:
-            for nu in keys:
-                D = _trim(A[mu].matrix @ A[nu].matrix.conj().T, any_t, k, M - k)
-                cols.append(D.ravel())
+        for deg in range(k + 1):
+            words = [Polynomial.monomial(mu) for mu in monomial_basis(self.d, deg)]
+            for mu in words:
+                for nu in words:
+                    cols.append(stack(
+                        self.mult_block(mu, n - deg) @ self.mult_block(nu, n - deg).conj().T
+                        for n in degrees
+                    ))
         Dmat = np.column_stack(cols)
-        coeffs, _, rank, _ = np.linalg.lstsq(Dmat, target.ravel(), rcond=None)
-        resid = np.linalg.norm(target.ravel() - Dmat @ coeffs)
-        degenerate = rank < Dmat.shape[1]
-        if degenerate:
-            warnings.warn(
-                f"rank-deficient dictionary (rank {rank} of {Dmat.shape[1]}); "
-                "minimum-norm solution used",
-                stacklevel=2,
-            )
+        coeffs, _, rank, _ = np.linalg.lstsq(Dmat, tvec, rcond=None)
+        resid = np.linalg.norm(tvec - Dmat @ coeffs)
+        tnorm = np.linalg.norm(tvec)
         return AAStarResidual(
             i=i, j=j, dictionary_degree=k, window_top=M,
             residual=float(resid / tnorm) if tnorm > 0 else 0.0,
             dictionary_size=Dmat.shape[1],
             dictionary_rank=int(rank),
         )
-
-
-def _unit_index(d: int, i: int) -> tuple[int, ...]:
-    e = [0] * d
-    e[i - 1] = 1
-    return tuple(e)
-
-
-def _trim(mat, t: "BandedTruncation", lo: int, hi: int) -> np.ndarray:
-    start = t.degree_offsets[lo]
-    stop = t.degree_offsets[hi] + t.degree_dims[hi]
-    sub = mat[start:stop, start:stop]
-    return sub.toarray() if sp.issparse(sub) else np.asarray(sub)
 
 
 def _monotonicity_violations(grid: dict, tol: float = 1e-10) -> list:
@@ -387,27 +362,9 @@ class BandedTruncation:
     matrix: sp.csr_matrix
     degree_offsets: dict[int, int]
     degree_dims: dict[int, int]
-    block_size: int
-    poly_shape: tuple[int, int]
-    poly_degree: int
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
-
-    def restrict_degrees(self, lo: int, hi: int) -> np.ndarray:
-        """Dense submatrix over degrees lo..hi (all matrix-polynomial slots)."""
-        m, M = self.window
-        if not (m <= lo <= hi <= M):
-            raise IndexError(f"degrees [{lo},{hi}] outside window {self.window}")
-        start = self.degree_offsets[lo]
-        stop = self.degree_offsets[hi] + self.degree_dims[hi]
-        idx = []
-        r, c = self.poly_shape
-        for s in range(max(r, c)):
-            idx.append(np.arange(start, stop) + s * self.block_size)
-        rows = np.concatenate(idx[:r])
-        cols = np.concatenate(idx[:c])
-        return self.matrix[np.ix_(rows, cols)].toarray()
 
 
 def operator_norm(t) -> float:
@@ -471,7 +428,6 @@ class CommutatorSpectrum:
     j: int
     degrees: list[int]
     singular_values: dict[int, np.ndarray]
-    cross_degree_leakage: float | None = None
 
     def block_norm(self, n: int) -> float:
         s = self.singular_values[n]

@@ -15,7 +15,7 @@ import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -498,9 +498,15 @@ def _run_aastar(cfg, spec, caches, out_dir: Path) -> ExperimentReport:
     n_max = max(int(spec.params.get("n_max", cfg.n_max)), M)
     blocks = caches.blocks(sigma, n_max)
     rows = []
+    warn = []
     for k in sorted(ks):
         r = blocks.aa_star_residual(i, j, k, M)
         rows.append([k, M, r.residual, r.dictionary_size, r.dictionary_rank])
+        if r.dictionary_rank < r.dictionary_size:
+            warn.append(
+                f"k={k}: rank-deficient dictionary (rank {r.dictionary_rank} of "
+                f"{r.dictionary_size}); minimum-norm solution used"
+            )
     _write_csv(
         out_dir / f"{spec.id}_residuals.csv",
         ["k", "M", "residual", "dictionary_size", "dictionary_rank"],
@@ -513,6 +519,7 @@ def _run_aastar(cfg, spec, caches, out_dir: Path) -> ExperimentReport:
         inputs={"i": i, "j": j, "dictionary_degrees": sorted(ks),
                 "window_top": M, "sigma": sigma},
         wall_time=time.perf_counter() - t0,
+        warnings=warn,
     )
 
 
@@ -575,7 +582,7 @@ def run(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if seed_override is not None:
-        cfg.seed = int(seed_override)
+        cfg = replace(cfg, seed=int(seed_override))
     workers = workers or cfg.workers or 1
     caches = _CacheSet(cfg)
 

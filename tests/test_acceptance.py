@@ -205,7 +205,15 @@ def test_criterion_9_invariant_suite():
     for d, sigma, gens in workloads:
         ideal = HomogeneousIdeal.from_generators(gens, d)
         blocks = ShiftBlocks(GradedComplementBasis(ideal, WeightScheme(sigma, d), 10))
-        assert blocks.grading_leakage((0, 8)) <= 1e-14
+        # compressions compose: S_i S_j = S_j S_i = (z_i z_j)(S) on H_n
+        for n in range(9):
+            for i in range(1, d + 1):
+                for j in range(1, d + 1):
+                    Sij = blocks.shift_block(i, n + 1) @ blocks.shift_block(j, n)
+                    Sji = blocks.shift_block(j, n + 1) @ blocks.shift_block(i, n)
+                    zij = Polynomial.variable(d, i) * Polynomial.variable(d, j)
+                    assert np.abs(Sij - Sji).max(initial=0.0) <= 1e-12
+                    assert np.abs(blocks.mult_block(zij, n) - Sij).max(initial=0.0) <= 1e-12
         assert blocks.row_contraction_excess(range(0, 10)) <= 1e-10
         if gens:
             assert blocks.generator_residual((0, 10)) <= 1e-9
@@ -223,5 +231,5 @@ def test_criterion_9_invariant_suite():
         assert kv.norm_sq_truncated >= 1.0 - kv.tail_bound - 1e-12
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
-    report(9, f"20 workloads: grading/row-contraction/relations/"
+    report(9, f"20 workloads: commutation/products/row-contraction/relations/"
               f"monotonicity/kernel-norm all clean ({elapsed:.2f}s)")

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from shiftlab.grading import GradedComplementBasis, HomogeneousIdeal
+from shiftlab.boundary import character_check, kernel_vector
+from shiftlab.grading import GradedComplementBasis, HomogeneousIdeal, monomial_basis
 from shiftlab.operators import (
     ShiftBlocks,
     default_window_schedule,
@@ -216,10 +217,18 @@ class TestCommutators:
         slope = spec.decay_slope(10, 60)
         assert slope == pytest.approx(-1.0, abs=0.2)
 
-    def test_cross_degree_leakage_tiny(self, z1z2_blocks):
-        spec = z1z2_blocks.commutator_blocks(1, 2, range(1, 8),
-                                             leakage_window=(0, 10))
-        assert spec.cross_degree_leakage <= 1e-12
+    def test_block_matches_assembled_commutator(self, free_blocks, z1z2_blocks):
+        # S_i S_j* - S_j* S_i assembled on degrees 0..10; its degree-n block
+        # is exact for n <= 9, where S_i H_n still lies inside the window
+        for blocks in (free_blocks, z1z2_blocks):
+            t = {i: blocks.assemble_polynomial(z(i), (0, 10)) for i in (1, 2)}
+            for i, j in ((1, 1), (1, 2), (2, 1)):
+                Ai, Aj = t[i].dense(), t[j].dense()
+                X = Ai @ Aj.conj().T - Aj.conj().T @ Ai
+                for n in range(10):
+                    o, k = t[i].degree_offsets[n], t[i].degree_dims[n]
+                    C = blocks.commutator_block(i, j, n)
+                    assert np.abs(C - X[o:o + k, o:o + k]).max() <= 1e-12
 
 
 class TestSchatten:
@@ -272,8 +281,18 @@ class TestAAStar:
 
 
 class TestStructuralInvariants:
-    def test_grading_leakage(self, z1z2_blocks):
-        assert z1z2_blocks.grading_leakage((0, 8)) <= 1e-14
+    def test_product_rule(self, z1z2_blocks):
+        # p(S) q(S) = (pq)(S) on the source degrees n <= 12 - deg q, where
+        # q(S) H_n stays inside the assembled window
+        p = 1.0 + z(1) - 2j * z(2) ** 2
+        q = 0.5 * z(2) + z(1) ** 2 - z(1) * z(2) ** 2
+        window = (0, 12)
+        tp = z1z2_blocks.assemble_polynomial(p, window).dense()
+        tq = z1z2_blocks.assemble_polynomial(q, window).dense()
+        tpq = z1z2_blocks.assemble_polynomial(p * q, window)
+        n = 12 - q.degree
+        stop = tpq.degree_offsets[n] + tpq.degree_dims[n]
+        assert np.abs((tp @ tq)[:, :stop] - tpq.dense()[:, :stop]).max() <= 1e-12
 
     def test_row_contraction(self, z1z2_blocks):
         assert z1z2_blocks.row_contraction_excess(range(0, 12)) <= 1e-10
@@ -292,3 +311,67 @@ class TestStructuralInvariants:
         t = z1z2_blocks.assemble_polynomial(p, (0, 12))
         stop = t.degree_offsets[10] + t.degree_dims[10]
         assert np.abs(comm[:stop, :stop]).max() <= 1e-10
+
+
+class TestBlockwiseAgreesWithAssembled:
+    """The per-degree computations against the assembled windows they replace."""
+
+    def test_window_norm_homogeneous_scalar(self, free_blocks, z1z2_blocks):
+        cases = [(free_blocks, mono(1, 1)), (z1z2_blocks, z(1) + z(2)),
+                 (z1z2_blocks, 2j * z(1) ** 3 - z(2) ** 3)]
+        for blocks, p in cases:
+            for window in ((0, 8), (3, 12), (6, 20), (10, 17)):
+                ref = operator_norm(blocks.assemble_polynomial(p, window))
+                assert blocks.window_norm(p, window) == pytest.approx(ref, abs=1e-12)
+
+    def test_window_norm_homogeneous_matrix(self, z1z2_blocks):
+        zero = Polynomial.constant(2, 0.0)
+        p = MatrixPolynomial([[z(1), 2 * z(2), zero],
+                              [zero, z(1) - 1j * z(2), 0.5 * z(2)]])
+        for window in ((0, 6), (2, 14), (9, 20)):
+            ref = operator_norm(z1z2_blocks.assemble_polynomial(p, window))
+            got = z1z2_blocks.window_norm(p, window)
+            assert got == pytest.approx(ref, abs=1e-12)
+            assert got > 0.5
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_aa_star_matches_full_dictionary_fit(self, free_blocks, k):
+        # the fit before the graded dictionary: every word S^mu (S^nu)* with
+        # |mu|, |nu| <= k, on the assembled window [0, M] trimmed to [k, M-k]
+        M = 14
+        A = {mu: free_blocks.assemble_polynomial(mono(*mu), (0, M))
+             for deg in range(k + 1) for mu in monomial_basis(2, deg)}
+        any_t = A[(0, 0)]
+        lo = any_t.degree_offsets[k]
+        hi = any_t.degree_offsets[M - k] + any_t.degree_dims[M - k]
+
+        def trim(mat):
+            return mat.toarray()[lo:hi, lo:hi]
+
+        T1, T2 = A[(1, 0)].matrix, A[(0, 1)].matrix
+        target = trim(T1.conj().T @ T2).ravel()
+        D = np.column_stack([trim(A[mu].matrix @ A[nu].matrix.conj().T).ravel()
+                             for mu in sorted(A) for nu in sorted(A)])
+        coeffs, *_ = np.linalg.lstsq(D, target, rcond=None)
+        ref = np.linalg.norm(target - D @ coeffs) / np.linalg.norm(target)
+        r = free_blocks.aa_star_residual(1, 2, k, M)
+        assert D.shape[1] == {1: 9, 2: 36}[k]
+        assert r.dictionary_size == {1: 5, 2: 14}[k]
+        assert r.residual == pytest.approx(ref, abs=1e-12)
+
+    def test_character_state_matches_assembled(self):
+        blocks = make_blocks([mono(1, 1)], n_max=34)
+        lam, N = np.array([0.7, 0.0]), 30
+        kv = kernel_vector(lam, 0.5, N)
+        basis = blocks.basis
+        v = np.concatenate([
+            basis.complement_basis(n).conj().T
+            @ kv.weighted_coords(n, basis.sqrt_weights(n))
+            for n in range(N + 1)
+        ])
+        for p in (z(1) ** 3, 0.3 + z(1) ** 3 - 2j * z(1) + z(1) * z(1)):
+            t = blocks.assemble_polynomial(p, (0, N))
+            res = character_check(p, lam, blocks, N=N)
+            ref = np.vdot(v, t.matrix @ v)
+            assert abs(res.vector_state_value - ref) <= 1e-12
+            assert res.operator_norm == pytest.approx(operator_norm(t), abs=1e-12)

@@ -169,6 +169,28 @@ class TestRun:
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert doc["seed"] == 7
 
+    def test_seed_override_leaves_config(self, tmp_path):
+        cfg = load_config(essnorm_config(tmp_path))
+        seed = cfg.seed
+        assert seed != 7
+        run(cfg, tmp_path / "out", seed_override=7)
+        assert cfg.seed == seed
+
+    def test_aastar_rank_deficiency_warning(self, tmp_path):
+        # on the Drury-Arveson space S1 S1* + S2 S2* = I on every H_n with
+        # n >= 1, so the k = 1 words span 4 dimensions, not 5
+        doc = dict(BASE)
+        doc["experiments"] = [
+            {"id": "aa", "kind": "aastar", "i": 1, "j": 2,
+             "dictionary_degrees": [1], "window_top": 12}
+        ]
+        (r,) = run(load_config(write_config(tmp_path, doc)), tmp_path / "out")
+        line = "k=1: rank-deficient dictionary (rank 4 of 5); minimum-norm solution used"
+        assert r.status == "ok" and r.warnings == [line]
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert doc["experiments"][0]["warnings"] == [line]
+        assert f"  warning: {line}" in (tmp_path / "out" / "summary.txt").read_text()
+
 
 class TestCompare:
     def test_match(self):
