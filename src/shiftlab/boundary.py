@@ -9,18 +9,14 @@ the induced vector state against plain point evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grading import HomogeneousIdeal, monomial_basis, _index_map
+from .grading import HomogeneousIdeal, monomial_basis, monomial_weights
 from .operators import ShiftBlocks
-from .polynomials import (
-    MatrixPolynomial,
-    Polynomial,
-    as_matrix_polynomial,
-    besov_weight,
-)
+from .polynomials import MatrixPolynomial, Polynomial, as_matrix_polynomial
 
 __all__ = [
     "OptimizerConfig",
@@ -281,62 +277,40 @@ class KernelVector:
         return self.coefficients[n] * sqrt_weights
 
 
-def _kernel_series(r2: float, sigma: float, upto: int | None = None):
-    """Partial sums of sum_n c_n^{-1} r2^n; returns (total, tail_after_upto)."""
-    total = 0.0
-    tail = 0.0
-    n = 0
-    while True:
-        term = r2**n / besov_weight(n, sigma)
-        new_total = total + term
-        if upto is not None and n > upto:
-            tail += term
-        if new_total == total and n > (upto or 0):
-            break
-        total = new_total
-        n += 1
-        if n > 100000:
-            break
-    return total, tail
-
-
 def kernel_vector(lam, sigma: float, N: int) -> KernelVector:
+    # imported here, not at module level: scipy.special adds about 65 ms and
+    # 2 MB to every `import shiftlab`, and only this function needs it
+    from scipy.special import betainc
+
     lam = np.asarray(lam, dtype=complex)
     d = len(lam)
     r2 = float(np.sum(np.abs(lam) ** 2))
     if r2 >= 1.0:
         raise ValueError(f"point norm {np.sqrt(r2):.6f} not inside the open ball")
-    total, tail = _kernel_series(r2, sigma, upto=N)
-    C = 1.0 / np.sqrt(total)
-    coeffs = []
-    import math as _math
+    # ||K_lam||^2 = sum_n c_n^{-1} r2^n = (1 - r2)^(-2 sigma); the float power
+    # raises OverflowError where it leaves the float range.  Its terms past N
+    # sum to total * I_{r2}(N + 1, 2 sigma), so their share of it is I.
+    total = (1.0 - r2) ** (-2.0 * sigma)
+    C = 1.0 / math.sqrt(total)
+    tail_bound = float(betainc(N + 1, 2.0 * sigma, r2))
 
     lam_conj = np.conj(lam)
+    coeffs = []
     norm_sq = 0.0
     for n in range(N + 1):
-        monos = monomial_basis(d, n)
-        cn = besov_weight(n, sigma)
-        vec = np.zeros(len(monos), dtype=complex)
-        for k, alpha in enumerate(monos):
-            mult = _math.factorial(n)
-            for a in alpha:
-                mult //= _math.factorial(a)
-            term = C / cn * mult
-            for lc, a in zip(lam_conj, alpha):
-                if a:
-                    term *= lc**a
-            vec[k] = term
-            # ||z^alpha||^2 = c_n * alpha!/n!
-            norm_sq += abs(term) ** 2 * cn / mult
+        # the coefficient of z^alpha is C conj(lam)^alpha / ||z^alpha||^2
+        w = monomial_weights(d, n, sigma)
+        vec = C * np.prod(lam_conj ** np.array(monomial_basis(d, n)), axis=1) / w
         coeffs.append(vec)
+        norm_sq += float(np.sum(np.abs(vec) ** 2 * w))
     return KernelVector(
         point=lam,
         sigma=sigma,
         truncation_degree=N,
         coefficients=coeffs,
-        normalization=float(C),
-        norm_sq_truncated=float(norm_sq),
-        tail_bound=float(C**2 * tail),
+        normalization=C,
+        norm_sq_truncated=norm_sq,
+        tail_bound=tail_bound,
     )
 
 

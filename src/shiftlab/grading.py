@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polynomials import Polynomial, WeightScheme
+from .polynomials import Polynomial, WeightScheme, besov_weight, monomial_norm_sq_exact
 
 __all__ = [
     "HomogeneousIdeal",
@@ -22,6 +22,7 @@ __all__ = [
     "HilbertFunction",
     "hilbert_function",
     "monomial_basis",
+    "monomial_weights",
     "total_dimension",
 ]
 
@@ -38,6 +39,17 @@ def monomial_basis(d: int, n: int) -> tuple[tuple[int, ...], ...]:
         for rest in monomial_basis(d - 1, n - a):
             out.append((a,) + rest)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def monomial_weights(d: int, n: int, sigma: float) -> np.ndarray:
+    """||z^alpha||^2 = c_{sigma,n} * alpha!/n! over ``monomial_basis(d, n)``,
+    as ``WeightScheme.weight`` gives it, with one Besov weight per degree.
+    The array is cached and read-only."""
+    c = besov_weight(n, sigma)
+    w = np.array([c * float(monomial_norm_sq_exact(a)) for a in monomial_basis(d, n)])
+    w.flags.writeable = False
+    return w
 
 
 def total_dimension(d: int, n: int) -> int:
@@ -185,14 +197,10 @@ class GradedComplementBasis:
 
     # construction
 
-    def _sqrt_weight_vector(self, n: int) -> np.ndarray:
-        monos = monomial_basis(self.d, n)
-        return np.array([math.sqrt(self.weights.weight(a)) for a in monos])
-
     def _build_degree(self, n: int) -> _DegreeRecord:
         monos = monomial_basis(self.d, n)
         t = len(monos)
-        sw = self._sqrt_weight_vector(n)
+        sw = np.sqrt(monomial_weights(self.d, n, self.weights.sigma))
         idx = _index_map(self.d, n)
 
         cols = []

@@ -50,7 +50,6 @@ class ShiftBlocks:
         self.basis = basis
         self.d = basis.d
         self.n_max = basis.n_max
-        self._shift_cache: dict[tuple[int, int], np.ndarray] = {}
         self._mult_cache: dict[tuple[Polynomial, int], np.ndarray] = {}
 
     # -- raw multiplication in weighted monomial coordinates
@@ -101,12 +100,7 @@ class ShiftBlocks:
         """Block of S_i : H_n -> H_{n+1} (i is 1-based)."""
         if not 1 <= i <= self.d:
             raise ValueError(f"coordinate {i} out of range 1..{self.d}")
-        key = (i, n)
-        blk = self._shift_cache.get(key)
-        if blk is None:
-            blk = self.mult_block(Polynomial.variable(self.d, i), n)
-            self._shift_cache[key] = blk
-        return blk
+        return self.mult_block(Polynomial.variable(self.d, i), n)
 
     # -- defect operators on H_n
 

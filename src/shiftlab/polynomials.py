@@ -22,9 +22,6 @@ __all__ = [
     "monomial_norm_sq_exact",
 ]
 
-_ZERO_TOL = 0.0  # coefficients equal to zero are dropped, nothing else
-
-
 def besov_weight(n: int, sigma: float) -> float:
     """Scale weight c_{sigma,n} = Gamma(n+1)Gamma(2s)/Gamma(2s+n).
 
@@ -46,18 +43,6 @@ def besov_weight(n: int, sigma: float) -> float:
     return math.exp(
         math.lgamma(n + 1) + math.lgamma(two_sigma) - math.lgamma(two_sigma + n)
     )
-
-
-def _multinomial_ratio(alpha: tuple[int, ...]) -> float:
-    # alpha! / |alpha|!
-    n = sum(alpha)
-    out = 1.0
-    k = 0
-    for a in alpha:
-        for j in range(1, a + 1):
-            k += 1
-            out *= j / k
-    return out
 
 
 def monomial_norm_sq_exact(alpha: tuple[int, ...]) -> Fraction:
@@ -86,7 +71,7 @@ class WeightScheme:
             raise ValueError(
                 f"multi-index of length {len(alpha)} in dimension {self.d}"
             )
-        return besov_weight(sum(alpha), self.sigma) * _multinomial_ratio(alpha)
+        return besov_weight(sum(alpha), self.sigma) * float(monomial_norm_sq_exact(alpha))
 
     def inner_product(self, p: "Polynomial", q: "Polynomial") -> complex:
         """<p, q> = sum_alpha p_a conj(q_a) ||z^a||^2."""
@@ -258,9 +243,6 @@ class Polynomial:
                 beta[i - 1] = a - 1
                 out[tuple(beta)] = out.get(tuple(beta), 0) + a * c
         return Polynomial(self.d, out)
-
-    def conjugate_coeffs(self) -> "Polynomial":
-        return Polynomial(self.d, {a: np.conj(c) for a, c in self.coeffs.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

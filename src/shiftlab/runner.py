@@ -164,10 +164,10 @@ class RunConfig:
             workers=int(raw.get("workers", 1)),
             warnings=warnings_list,
         )
-        cfg._validate_degrees(raw)
+        cfg._validate_degrees()
         return cfg
 
-    def _validate_degrees(self, raw: dict):
+    def _validate_degrees(self):
         for e in self.experiments:
             n_max = int(e.params.get("n_max", self.n_max))
             for m, M in e.params.get("windows", []) or []:

@@ -93,6 +93,20 @@ def monomial_window_norm(beta, m, M):
     return math.sqrt(best)
 
 
+def kernel_series_exact(r2, two_sigma, N):
+    """Exact (total, tail) of the kernel series sum_n c_n^{-1} r2^n, where the
+    tail is the sum of the terms with n > N.
+
+    For an integer 2*sigma = s, c_n^{-1} = Gamma(s+n)/(Gamma(n+1)Gamma(s)) is
+    the binomial coefficient C(n+s-1, n), and the series is (1 - r2)^(-s).
+    r2 is a rational (a float is taken at its exact binary value).
+    """
+    r2 = Fraction(r2)
+    total = 1 / (1 - r2) ** two_sigma
+    partial = sum(math.comb(n + two_sigma - 1, n) * r2**n for n in range(N + 1))
+    return total, total - partial
+
+
 def sup_abs_on_sphere_grid(p, d, n_theta=200):
     """Crude grid maximum of |p| on the real-positive part of the sphere
     (enough for symmetric test polynomials in d=2)."""

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from shiftlab.grading import GradedComplementBasis, HomogeneousIdeal
 from shiftlab.operators import ShiftBlocks
 from shiftlab.polynomials import Polynomial, WeightScheme
 
-from oracles import sup_abs_on_sphere_grid
+from oracles import kernel_series_exact, sup_abs_on_sphere_grid
 
 
 def z(i, d=2):
@@ -124,6 +125,44 @@ class TestKernelVector:
     def test_boundary_point_rejected(self):
         with pytest.raises(ValueError):
             kernel_vector([1.0, 0.0], 0.5, 5)
+
+    # dyadic coordinates, so that r^2 = |lam|^2 is exact in floating point
+    @pytest.mark.parametrize("lam, two_sigma, N", [
+        ((0.25, 0.0), 1, 14),  # tail about 9e-19, far below the total's ulp
+        ((0.25, 0.0), 2, 14),
+        ((0.125, 0.25), 2, 12),
+        ((0.75, 0.5), 1, 20),
+        ((0.75, 0.5), 4, 30),
+        ((0.5, 0.25, 0.125), 3, 10),
+    ])
+    def test_against_exact_series(self, lam, two_sigma, N):
+        kv = kernel_vector(lam, two_sigma / 2, N)
+        total, tail = kernel_series_exact(sum(x * x for x in lam), two_sigma, N)
+        assert kv.normalization == pytest.approx(float(total) ** -0.5, rel=1e-12, abs=0)
+        assert kv.tail_bound == pytest.approx(float(tail / total), rel=1e-12, abs=0)
+        assert kv.norm_sq_truncated == pytest.approx(
+            float(1 - tail / total), rel=1e-12, abs=0)
+
+    def test_near_boundary(self):
+        t0 = time.perf_counter()
+        for r in (0.999, 0.99999):
+            for sigma in (0.5, 1.0, 2.0):
+                for d in (2, 3):
+                    lam = np.full(d, r / math.sqrt(d), dtype=complex)
+                    lam[-1] *= 1j
+                    r2 = float(np.sum(np.abs(lam) ** 2))
+                    kv = kernel_vector(lam, sigma, 30)
+                    assert kv.normalization == pytest.approx(
+                        (1 - r2) ** sigma, rel=1e-12, abs=0)
+                    assert kv.norm_sq_truncated + kv.tail_bound == pytest.approx(
+                        1.0, rel=0, abs=1e-12)
+                    assert 0.0 <= kv.tail_bound <= 1.0
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_normalizer_overflow_raises(self):
+        # (1 - r^2)^(-2 sigma) is about 1e1880 here
+        with pytest.raises(OverflowError):
+            kernel_vector([0.99999, 0.0], 200.0, 30)
 
 
 @pytest.fixture(scope="module")

@@ -8,9 +8,10 @@ from shiftlab.grading import (
     HomogeneousIdeal,
     hilbert_function,
     monomial_basis,
+    monomial_weights,
     total_dimension,
 )
-from shiftlab.polynomials import Polynomial, WeightScheme
+from shiftlab.polynomials import Polynomial, WeightScheme, besov_weight
 
 from oracles import ideal_degree_dim_exact, monomial_ideal_degree_dim
 
@@ -157,3 +158,39 @@ def test_monomial_basis_order_is_graded_lex():
     assert monomial_basis(2, 3) == ((3, 0), (2, 1), (1, 2), (0, 3))
     assert monomial_basis(3, 2)[0] == (2, 0, 0)
     assert len(monomial_basis(3, 5)) == math.comb(7, 2)
+
+
+class TestMonomialWeights:
+    @pytest.mark.parametrize("d, sigma", [(2, 0.5), (3, 1.0), (3, 2.0), (4, 0.75)])
+    def test_equals_weight_scheme(self, d, sigma):
+        w = WeightScheme(sigma, d)
+        for n in range(15):
+            expected = [w.weight(a) for a in monomial_basis(d, n)]
+            assert monomial_weights(d, n, sigma).tolist() == expected
+
+    def test_agrees_with_float_multinomial_loop(self):
+        # the float loop the weights were computed with before, alpha!/|alpha|!
+        # as a running product of j/k
+        def multinomial_ratio(alpha):
+            out, k = 1.0, 0
+            for a in alpha:
+                for j in range(1, a + 1):
+                    k += 1
+                    out *= j / k
+            return out
+
+        for d, sigma, n_max in [(2, 0.5, 122), (3, 1.0, 40), (3, 2.0, 31)]:
+            for n in range(n_max + 1):
+                c = besov_weight(n, sigma)
+                old = np.array([c * multinomial_ratio(a) for a in monomial_basis(d, n)])
+                new = monomial_weights(d, n, sigma)
+                assert np.max(np.abs(new - old) / old) <= 1e-14
+
+    def test_basis_sqrt_weights(self):
+        basis = GradedComplementBasis(HomogeneousIdeal.zero(3), WeightScheme(1.0, 3), 8)
+        for n in range(9):
+            assert np.array_equal(basis.sqrt_weights(n), np.sqrt(monomial_weights(3, n, 1.0)))
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            monomial_weights(2, 3, 0.5)[0] = 1.0
