@@ -2,7 +2,8 @@
 
 boundary_sup maximizes the largest singular value of an evaluated matrix
 polynomial over points of the variety on the unit sphere, by penalized
-projected gradient ascent with multistart.  kernel_vector builds the
+projected gradient ascent with multistart: exact Wirtinger gradients, and all
+starts stepped together as one batch.  kernel_vector builds the
 normalized reproducing vector at an interior point; character_check compares
 the induced vector state against plain point evaluation.
 """
@@ -42,7 +43,6 @@ class OptimizerConfig:
     max_iter: int = 300
     step_initial: float = 0.1
     grad_tol: float = 1e-9
-    fd_step: float = 1e-6
     newton_iters: int = 60
     newton_tol: float = 1e-12
     feasibility_tol: float = 1e-8
@@ -60,7 +60,65 @@ class BoundaryMaxResult:
     n_starts: int
     n_converged: int
     n_basins: int
+    n_stationary: int  # starts whose last stage met grad_tol
+    final_penalty: float  # rho of the last stage; 0 without generators
+    worst_feasibility_residual: float  # over the converged starts
     start_values: list[float] = field(default_factory=list)
+
+
+class _Problem:
+    """The symbol P, the ideal's generators g and their complex partial
+    derivatives, built once per boundary_sup call.
+
+    At z = x_re + i x_im the penalized objective is
+    f(x) = sigma_1(P(z)) - rho sum_g |g(z)|^2.  With u, v the top singular
+    vectors of P(z), a_i = u* (d_i P) v and b_i = sum_g conj(g) d_i g, its
+    gradient is df/dx_re = Re a - 2 rho Re b and df/dx_im = -Im a + 2 rho Im b.
+    """
+
+    def __init__(self, p: MatrixPolynomial, ideal: HomogeneousIdeal):
+        self.d = p.d
+        self.p = p
+        self.dp = [
+            MatrixPolynomial([[q.derivative(i) for q in row] for row in p.entries])
+            for i in range(1, p.d + 1)
+        ]
+        self.ideal = ideal
+        self.gens = ideal.generators
+        self.jac = [[g.derivative(i) for i in range(1, p.d + 1)] for g in self.gens]
+
+    def point(self, x: np.ndarray) -> np.ndarray:
+        return x[..., : self.d] + 1j * x[..., self.d:]
+
+    def value(self, x: np.ndarray, rho: float) -> np.ndarray:
+        """f at a batch of real points x of shape (B, 2d)."""
+        z = self.point(x)
+        val = self.p.sup_eval(z)
+        for g in self.gens:
+            val = val - rho * np.abs(g(z)) ** 2
+        return val
+
+    def gradient(self, x: np.ndarray, rho: float) -> np.ndarray:
+        """The exact gradient of f at a batch of real points, shape (B, 2d)."""
+        z = self.point(x)
+        P = self.p(z)
+        dP = [D(z) for D in self.dp]
+        if self.p.shape == (1, 1):
+            pv = P[:, 0, 0]
+            mag = np.abs(pv)
+            phase = np.divide(np.conj(pv), mag, out=np.zeros_like(pv), where=mag > 0)
+            a = np.stack([phase * D[:, 0, 0] for D in dP], axis=1)
+        else:
+            U, _, Vh = np.linalg.svd(P)
+            u = np.conj(U[:, :, 0])[:, :, None]
+            v = np.conj(Vh[:, 0, :])[:, None, :]
+            a = np.stack([(u * D * v).sum(axis=(1, 2)) for D in dP], axis=1)
+        b = np.zeros_like(a)
+        for g, row in zip(self.gens, self.jac):
+            b += np.conj(g(z))[:, None] * np.stack([dg(z) for dg in row], axis=1)
+        return np.concatenate(
+            [a.real - 2 * rho * b.real, -a.imag + 2 * rho * b.imag], axis=1
+        )
 
 
 def _random_sphere_point(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -69,25 +127,22 @@ def _random_sphere_point(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _newton_to_variety(
-    ideal: HomogeneousIdeal, z0: np.ndarray, cfg: OptimizerConfig
+    prob: _Problem, z0: np.ndarray, cfg: OptimizerConfig
 ) -> np.ndarray | None:
     """Gauss-Newton on the generator system; returns a nonzero root or None."""
-    gens = ideal.generators
-    if not gens:
+    if not prob.gens:
         return z0.copy()
     z = z0.astype(complex).copy()
     for _ in range(cfg.newton_iters):
-        g = np.array([p(z) for p in gens])
+        g = np.array([p(z) for p in prob.gens])
         if np.max(np.abs(g)) <= cfg.newton_tol:
             break
-        J = np.array(
-            [[p.derivative(i)(z) for i in range(1, ideal.d + 1)] for p in gens]
-        )
+        J = np.array([[dp(z) for dp in row] for row in prob.jac])
         step, *_ = np.linalg.lstsq(J, -g, rcond=None)
         if not np.all(np.isfinite(step)):
             return None
         z = z + step
-    if np.max(np.abs([p(z) for p in gens])) > 1e-10:
+    if prob.ideal.residual_at(z) > 1e-10:
         return None
     if np.linalg.norm(z) < 1e-8:
         return None
@@ -95,81 +150,70 @@ def _newton_to_variety(
 
 
 def _feasible_start(
-    ideal: HomogeneousIdeal, rng: np.random.Generator, cfg: OptimizerConfig
+    prob: _Problem, rng: np.random.Generator, cfg: OptimizerConfig
 ) -> np.ndarray | None:
     for _ in range(20):
-        z = _newton_to_variety(ideal, _random_sphere_point(ideal.d, rng), cfg)
+        z = _newton_to_variety(prob, _random_sphere_point(prob.d, rng), cfg)
         if z is not None:
             z = z / np.linalg.norm(z)  # homogeneity keeps the point on the variety
-            if ideal.residual_at(z) <= 1e-8:
+            if prob.ideal.residual_at(z) <= 1e-8:
                 return z
     return None
 
 
-def _penalized_objective(p: MatrixPolynomial, ideal: HomogeneousIdeal, rho: float):
-    gens = ideal.generators
-
-    def fun(x: np.ndarray) -> float:
-        z = x[: len(x) // 2] + 1j * x[len(x) // 2:]
-        val = p.sup_eval(z)
-        for g in gens:
-            val -= rho * abs(g(z)) ** 2
-        return val
-
-    return fun
-
-
-def _fd_gradient(fun, x: np.ndarray, h: float) -> np.ndarray:
-    g = np.zeros_like(x)
-    for k in range(len(x)):
-        xp = x.copy()
-        xp[k] += h
-        xm = x.copy()
-        xm[k] -= h
-        g[k] = (fun(xp) - fun(xm)) / (2 * h)
-    return g
-
-
 def _project_sphere(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x)
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
 def _ascend(
-    p: MatrixPolynomial,
-    ideal: HomogeneousIdeal,
-    z0: np.ndarray,
-    cfg: OptimizerConfig,
-) -> np.ndarray:
-    d = len(z0)
-    x = np.concatenate([z0.real, z0.imag])
-    x = _project_sphere(x)
-    rho = cfg.penalty_initial
-    for _stage in range(cfg.penalty_stages if ideal.generators else 1):
-        fun = _penalized_objective(p, ideal, rho if ideal.generators else 0.0)
-        step = cfg.step_initial
-        f = fun(x)
+    prob: _Problem, z0: np.ndarray, cfg: OptimizerConfig
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Projected gradient ascent of all starts z0 (B, d) as one batch.
+
+    Every start keeps its own step size and freezes when its stage ends: at
+    grad_tol, at the step floor or at max_iter.  Each row is computed on its
+    own, so a start's trajectory does not depend on the other starts.
+    Returns the polished points (B, d), per start whether its last stage met
+    grad_tol, and the last penalty rho.
+    """
+    x = _project_sphere(np.concatenate([z0.real, z0.imag], axis=1))
+    n = len(x)
+    stationary = np.zeros(n, dtype=bool)
+    rho, rho_used = cfg.penalty_initial, 0.0
+    for _stage in range(cfg.penalty_stages if prob.gens else 1):
+        rho_used = rho if prob.gens else 0.0
+        step = np.full(n, cfg.step_initial)
+        f = prob.value(x, rho_used)
+        stationary[:] = False
+        active = np.arange(n)
         for _ in range(cfg.max_iter):
-            g = _fd_gradient(fun, x, cfg.fd_step)
-            g_tan = g - (g @ x) * x  # tangential component on the sphere
-            gn = np.linalg.norm(g_tan)
-            if gn <= cfg.grad_tol * max(1.0, abs(f)):
+            xa = x[active]
+            g = prob.gradient(xa, rho_used)
+            g_tan = g - np.sum(g * xa, axis=1, keepdims=True) * xa  # tangential part
+            gn = np.linalg.norm(g_tan, axis=1)
+            done = gn <= cfg.grad_tol * np.maximum(1.0, np.abs(f[active]))
+            stationary[active[done]] = True
+            active, xa, g_tan = active[~done], xa[~done], g_tan[~done]
+            if not active.size:
                 break
-            x_new = _project_sphere(x + step * g_tan)
-            f_new = fun(x_new)
-            if f_new > f:
-                x, f = x_new, f_new
-                step = min(step * 1.2, 1.0)
-            else:
-                step *= 0.5
-                if step < 1e-14:
-                    break
+            x_new = _project_sphere(xa + step[active, None] * g_tan)
+            f_new = prob.value(x_new, rho_used)
+            up = f_new > f[active]
+            won = active[up]
+            x[won], f[won] = x_new[up], f_new[up]
+            step[won] = np.minimum(step[won] * 1.2, 1.0)
+            step[active[~up]] *= 0.5
+            active = active[step[active] >= 1e-14]
+            if not active.size:
+                break
         rho *= cfg.penalty_factor
-    z = x[:d] + 1j * x[d:]
+    z = prob.point(x)
     # polish back onto the variety sphere before reporting
-    z_pol = _newton_to_variety(ideal, z, cfg)
-    if z_pol is not None:
-        z = z_pol / np.linalg.norm(z_pol)
-    return z
+    for k in range(n):
+        z_pol = _newton_to_variety(prob, z[k], cfg)
+        if z_pol is not None:
+            z[k] = z_pol / np.linalg.norm(z_pol)
+    return z, stationary, rho_used
 
 
 def _canonical_phase(z: np.ndarray) -> np.ndarray:
@@ -199,12 +243,13 @@ def boundary_sup(
         raise ValueError("polynomial / ideal dimension mismatch")
     cfg = cfg or OptimizerConfig()
     rng = np.random.default_rng(cfg.seed)
+    prob = _Problem(p, ideal)
 
     starts = []
     attempts = 0
     while len(starts) < cfg.n_starts and attempts < 10 * cfg.n_starts:
         attempts += 1
-        z = _feasible_start(ideal, rng, cfg)
+        z = _feasible_start(prob, rng, cfg)
         if z is not None:
             starts.append(z)
     if not starts:
@@ -212,9 +257,9 @@ def boundary_sup(
             "no feasible start found: the variety may not meet the sphere"
         )
 
+    points, stationary, final_penalty = _ascend(prob, np.array(starts), cfg)
     results = []
-    for z0 in starts:
-        z = _ascend(p, ideal, z0, cfg)
+    for z in points:
         sphere_res = abs(np.linalg.norm(z) ** 2 - 1.0)
         ideal_res = ideal.residual_at(z)
         val = p.sup_eval(z)
@@ -235,7 +280,7 @@ def boundary_sup(
     # optional plain sampling safety net: the report must dominate every sample
     if cfg.fallback_grid > 0:
         for _ in range(cfg.fallback_grid):
-            z = _feasible_start(ideal, rng, cfg)
+            z = _feasible_start(prob, rng, cfg)
             if z is None:
                 continue
             val = p.sup_eval(z)
@@ -253,6 +298,9 @@ def boundary_sup(
         n_starts=len(starts),
         n_converged=len(converged),
         n_basins=basins,
+        n_stationary=int(stationary.sum()),
+        final_penalty=float(final_penalty),
+        worst_feasibility_residual=float(max(max(r[3], r[4]) for r in converged)),
         start_values=[float(r[1]) for r in results],
     )
 

@@ -105,7 +105,7 @@ class Polynomial:
     Zero coefficients are never stored.  Instances are treated as immutable.
     """
 
-    __slots__ = ("d", "coeffs")
+    __slots__ = ("d", "coeffs", "_terms")
 
     def __init__(self, d: int, coeffs: dict | None = None):
         if d < 1:
@@ -122,6 +122,7 @@ class Polynomial:
                     del clean[alpha]
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "_terms", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -220,18 +221,31 @@ class Polynomial:
             out = out * self
         return out
 
-    def __call__(self, z) -> complex:
+    def __call__(self, z):
+        """Value at a point of shape (d,), or values of shape (B,) at a batch
+        of points of shape (B, d).
+
+        A point's value does not depend on the other points of its batch, to
+        the last bit: each term c z^alpha is one product along the last axis,
+        coefficient first.  Multiplying by c in a separate broadcast step would
+        let numpy pick a fused or an unfused complex multiply by array shape.
+        """
         z = np.asarray(z, dtype=complex)
-        if z.shape != (self.d,):
+        if z.ndim not in (1, 2) or z.shape[-1] != self.d:
             raise ValueError(f"point of shape {z.shape} in dimension {self.d}")
-        acc = 0.0 + 0.0j
-        for alpha, c in self.coeffs.items():
-            term = c
-            for zi, a in zip(z, alpha):
-                if a:
-                    term *= zi**a
-            acc += term
-        return complex(acc)
+        if self._terms is None:
+            # exponent matrix E (T, d), kept complex so that z**E needs no
+            # cast, and coefficient vector c (T)
+            E = np.array(list(self.coeffs), dtype=complex).reshape(-1, self.d)
+            c = np.array(list(self.coeffs.values()), dtype=complex)
+            object.__setattr__(self, "_terms", (E, c))
+        E, c = self._terms
+        zb = z.reshape(-1, self.d)
+        factors = np.empty((len(zb), len(c), self.d + 1), dtype=complex)
+        factors[..., 0] = c
+        factors[..., 1:] = zb[:, None, :] ** E
+        vals = np.prod(factors, axis=-1).sum(axis=-1)
+        return complex(vals[0]) if z.ndim == 1 else vals
 
     def derivative(self, i: int) -> "Polynomial":
         """Complex partial derivative d/dz_i (1-based)."""
@@ -318,18 +332,23 @@ class MatrixPolynomial:
         return sorted(degs)
 
     def __call__(self, z) -> np.ndarray:
-        out = np.empty(self.shape, dtype=complex)
+        """Matrix of shape (r, c) at a point, or (B, r, c) at a batch of points."""
+        z = np.asarray(z, dtype=complex)
+        out = np.empty(z.shape[:-1] + self.shape, dtype=complex)
         for i, row in enumerate(self.entries):
             for j, p in enumerate(row):
-                out[i, j] = p(z)
+                out[..., i, j] = p(z)
         return out
 
-    def sup_eval(self, z) -> float:
-        """Largest singular value of the evaluated matrix."""
+    def sup_eval(self, z):
+        """Largest singular value of the evaluated matrix: a float at a point,
+        an array of shape (B,) at a batch of points."""
         m = self(z)
         if self.shape == (1, 1):
-            return abs(m[0, 0])
-        return float(np.linalg.norm(m, 2))
+            s = np.abs(m[..., 0, 0])
+        else:
+            s = np.linalg.svd(m, compute_uv=False)[..., 0]
+        return float(s) if s.ndim == 0 else s
 
 
 def as_matrix_polynomial(p) -> MatrixPolynomial:

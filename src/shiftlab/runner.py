@@ -15,7 +15,7 @@ import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +52,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 KNOWN_KINDS = {"essnorm", "commutator", "besov", "character", "aastar", "dims"}
+OPTIMIZER_KEYS = {f.name for f in fields(OptimizerConfig)}
 
 
 class ConfigError(ValueError):
@@ -151,6 +152,15 @@ class RunConfig:
                 raise ConfigError(f"duplicate experiment id {eid!r}")
             seen.add(eid)
             params = {x: y for x, y in e.items() if x not in ("id", "kind")}
+            opt = params.get("optimizer") or {}
+            if not isinstance(opt, dict):
+                raise ConfigError(f"experiment {eid}: 'optimizer' must be a mapping")
+            unknown = sorted(set(opt) - OPTIMIZER_KEYS)
+            if unknown:
+                raise ConfigError(
+                    f"experiment {eid}: unknown optimizer keys {unknown}; "
+                    f"known: {sorted(OPTIMIZER_KEYS)}"
+                )
             experiments.append(ExperimentSpec(eid, kind, params))
 
         cfg = cls(
@@ -330,6 +340,9 @@ def _run_essnorm(cfg, spec, caches, out_dir: Path) -> ExperimentReport:
             "sphere_residual": bres.sphere_residual,
             "ideal_residual": bres.ideal_residual,
             "basins": bres.n_basins,
+            "n_stationary": bres.n_stationary,
+            "final_penalty": bres.final_penalty,
+            "worst_feasibility_residual": bres.worst_feasibility_residual,
             "comparison": verdict,
         },
         series={"grid": grid_rows},

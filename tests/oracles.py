@@ -1,13 +1,15 @@
 """Independent brute-force oracles used to freeze expected values.
 
 These deliberately avoid the library's weighted-SVD path: dimensions come
-from combinatorial monomial counting or exact rational row reduction, and
-norms from direct enumeration.
+from combinatorial monomial counting or exact rational row reduction, norms
+from direct enumeration, and gradients from central finite differences.
 """
 
 from fractions import Fraction
 from itertools import product
 import math
+
+import numpy as np
 
 from shiftlab.grading import monomial_basis
 
@@ -117,3 +119,16 @@ def sup_abs_on_sphere_grid(p, d, n_theta=200):
         z = (math.cos(t), math.sin(t))
         best = max(best, abs(p(z)))
     return best
+
+
+def fd_gradient(fun, x, h=1e-6):
+    """Central finite-difference gradient of a real function of a real vector
+    (2 len(x) evaluations, error O(h^2) plus round-off of order eps/h)."""
+    g = np.zeros_like(x)
+    for k in range(len(x)):
+        xp = x.copy()
+        xp[k] += h
+        xm = x.copy()
+        xm[k] -= h
+        g[k] = (fun(xp) - fun(xm)) / (2 * h)
+    return g

@@ -7,15 +7,24 @@ import pytest
 from shiftlab.boundary import (
     OptimizerConfig,
     VarietyBoundaryNotFound,
+    _ascend,
+    _feasible_start,
+    _newton_to_variety,
+    _Problem,
     boundary_sup,
     character_check,
     kernel_vector,
 )
 from shiftlab.grading import GradedComplementBasis, HomogeneousIdeal
 from shiftlab.operators import ShiftBlocks
-from shiftlab.polynomials import Polynomial, WeightScheme
+from shiftlab.polynomials import (
+    MatrixPolynomial,
+    Polynomial,
+    WeightScheme,
+    as_matrix_polynomial,
+)
 
-from oracles import kernel_series_exact, sup_abs_on_sphere_grid
+from oracles import fd_gradient, kernel_series_exact, sup_abs_on_sphere_grid
 
 
 def z(i, d=2):
@@ -192,3 +201,157 @@ class TestCharacterCheck:
     def test_infeasible_point_rejected(self, blocks):
         with pytest.raises(ValueError):
             character_check(z(1), [0.5, 0.5], blocks, N=10)
+
+
+class TestConvergenceReport:
+    def test_free_coordinate_all_stationary(self):
+        r = boundary_sup(z(1), HomogeneousIdeal.zero(2), FAST)
+        assert r.n_stationary == r.n_starts == 16
+        assert r.final_penalty == 0.0
+        assert r.worst_feasibility_residual <= 1e-10
+
+    def test_iteration_cap_reported(self):
+        cfg = OptimizerConfig(n_starts=16, seed=11, max_iter=5)
+        r = boundary_sup(z(1), HomogeneousIdeal.zero(2), cfg)
+        assert r.n_stationary == 0 and r.n_converged == 16
+
+    def test_penalty_reported(self):
+        I = HomogeneousIdeal.from_generators([z(1) * z(2)], 2)
+        cfg = OptimizerConfig(n_starts=8, seed=11, max_iter=5)
+        r = boundary_sup(z(1) + z(2), I, cfg)
+        assert r.final_penalty == 10.0 * 10.0**4
+        assert r.worst_feasibility_residual <= cfg.feasibility_tol
+
+
+def _sphere_points(d, count, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((count, 2 * d))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def _old_objective(p, ideal, rho):
+    """The penalized objective as the finite-difference ascent evaluated it."""
+    p = as_matrix_polynomial(p)
+
+    def fun(x):
+        d = len(x) // 2
+        zz = x[:d] + 1j * x[d:]
+        return p.sup_eval(zz) - rho * sum(abs(g(zz)) ** 2 for g in ideal.generators)
+
+    return fun
+
+
+class TestAnalyticGradient:
+    def check(self, p, ideal, rho, points):
+        prob = _Problem(as_matrix_polynomial(p), ideal)
+        fun = _old_objective(p, ideal, rho)
+        for x in points:
+            exact = prob.gradient(x[None], rho)[0]
+            fd = fd_gradient(fun, x)
+            assert np.linalg.norm(exact - fd) <= 1e-6 * np.linalg.norm(fd)
+
+    def test_scalar(self):
+        p = z(1, 3) ** 2 * z(2, 3) + 2j * z(3, 3) - z(1, 3) * z(3, 3)
+        self.check(p, HomogeneousIdeal.zero(3), 0.0, _sphere_points(3, 20, 1))
+
+    def test_matrix_simple_top_singular_value(self):
+        P = MatrixPolynomial([[z(1), z(2)], [z(2) * z(1), z(1) ** 2 - 1j * z(2)]])
+        points = [
+            x for x in _sphere_points(2, 40, 2)
+            if -np.diff(np.linalg.svd(P(x[:2] + 1j * x[2:]), compute_uv=False)) > 1e-2
+        ]
+        assert len(points) >= 20
+        self.check(P, HomogeneousIdeal.zero(2), 0.0, points)
+
+    def test_penalized_with_generator(self):
+        w1, w2, w3 = (z(i, 3) for i in (1, 2, 3))
+        ideal = HomogeneousIdeal.from_generators([w1**2 + w2**2 + w3**2], 3)
+        self.check(w1 * w2, ideal, 10.0, _sphere_points(3, 20, 3))
+
+
+def _fd_ascent_sup(p, ideal, cfg, h=1e-6):
+    """boundary_sup's maximum as the finite-difference ascent computed it:
+    the same starts, each stepped alone with a central-difference gradient."""
+    p = as_matrix_polynomial(p)
+    prob = _Problem(p, ideal)
+    rng = np.random.default_rng(cfg.seed)
+    starts = []
+    attempts = 0
+    while len(starts) < cfg.n_starts and attempts < 10 * cfg.n_starts:
+        attempts += 1
+        z0 = _feasible_start(prob, rng, cfg)
+        if z0 is not None:
+            starts.append(z0)
+    best = -np.inf
+    for z0 in starts:
+        d = len(z0)
+        x = np.concatenate([z0.real, z0.imag])
+        x = x / np.linalg.norm(x)
+        rho = cfg.penalty_initial
+        for _stage in range(cfg.penalty_stages if ideal.generators else 1):
+            fun = _old_objective(p, ideal, rho if ideal.generators else 0.0)
+            step = cfg.step_initial
+            f = fun(x)
+            for _ in range(cfg.max_iter):
+                g = fd_gradient(fun, x, h)
+                g_tan = g - (g @ x) * x
+                if np.linalg.norm(g_tan) <= cfg.grad_tol * max(1.0, abs(f)):
+                    break
+                x_new = x + step * g_tan
+                x_new = x_new / np.linalg.norm(x_new)
+                f_new = fun(x_new)
+                if f_new > f:
+                    x, f = x_new, f_new
+                    step = min(step * 1.2, 1.0)
+                else:
+                    step *= 0.5
+                    if step < 1e-14:
+                        break
+            rho *= cfg.penalty_factor
+        zz = x[:d] + 1j * x[d:]
+        z_pol = _newton_to_variety(prob, zz, cfg)
+        if z_pol is not None:
+            zz = z_pol / np.linalg.norm(z_pol)
+        feasible = (abs(np.linalg.norm(zz) ** 2 - 1.0) <= cfg.feasibility_tol
+                    and ideal.residual_at(zz) <= cfg.feasibility_tol)
+        if feasible:
+            best = max(best, p.sup_eval(zz))
+    return best
+
+
+class TestOldAndNewAscent:
+    @pytest.mark.parametrize("case", ["z1", "z1z2", "two-circles", "grid-oracle"])
+    def test_maxima_agree_with_finite_differences(self, case):
+        free = HomogeneousIdeal.zero(2)
+        p, ideal = {
+            "z1": (z(1), free),
+            "z1z2": (z(1) * z(2), free),
+            "two-circles": (z(1) + z(2), HomogeneousIdeal.from_generators([z(1) * z(2)], 2)),
+            "grid-oracle": (z(1) ** 2 + 2 * z(1) * z(2), free),
+        }[case]
+        new = boundary_sup(p, ideal, FAST).value
+        assert new == pytest.approx(_fd_ascent_sup(p, ideal, FAST), abs=1e-8)
+
+    @pytest.mark.parametrize("case", ["two-circles", "matrix", "generic-d3"])
+    def test_start_alone_matches_batch(self, case):
+        cfg = FAST
+        if case == "two-circles":
+            p = as_matrix_polynomial(z(1) + z(2))
+            ideal = HomogeneousIdeal.from_generators([z(1) * z(2)], 2)
+        elif case == "matrix":
+            p = MatrixPolynomial([[z(1), z(2)], [z(2) * z(1), z(1) ** 2]])
+            ideal = HomogeneousIdeal.zero(2)
+        else:
+            # complex coefficients, so that no product is exact
+            w1, w2, w3 = (z(i, 3) for i in (1, 2, 3))
+            p = as_matrix_polynomial((0.7 + 0.2j) * w1 * w2 - 1.3j * w3 + 0.4 * w1**2)
+            ideal = HomogeneousIdeal.from_generators([w1**2 + (0.5 - 0.3j) * w2 * w3], 3)
+            cfg = OptimizerConfig(n_starts=8, seed=11, max_iter=60)
+        prob = _Problem(p, ideal)
+        rng = np.random.default_rng(4)
+        starts = np.array([_feasible_start(prob, rng, cfg) for _ in range(8)])
+        points, stationary, rho = _ascend(prob, starts, cfg)
+        for k in range(len(starts)):
+            alone, alone_stationary, alone_rho = _ascend(prob, starts[k:k + 1], cfg)
+            assert np.array_equal(alone[0], points[k])
+            assert alone_stationary[0] == stationary[k] and alone_rho == rho

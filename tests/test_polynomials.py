@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from shiftlab.grading import monomial_basis
 from shiftlab.polynomials import (
+    MatrixPolynomial,
     Polynomial,
     WeightScheme,
     besov_weight,
@@ -177,3 +178,59 @@ def test_evaluation_is_multiplicative(p, q, k):
     lhs = (p * q)(zpt)
     rhs = p(zpt) * q(zpt)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-9)
+
+
+def _dict_loop_value(p, zpt):
+    """The per-term loop that evaluated a polynomial before the exponent-matrix
+    evaluator; also returns sum |c z^alpha|, the scale of its round-off."""
+    acc, scale = 0j, 0.0
+    for alpha, c in p.coeffs.items():
+        term = c
+        for zi, a in zip(zpt, alpha):
+            if a:
+                term *= zi**a
+        acc += term
+        scale += abs(term)
+    return acc, scale
+
+
+@given(polys(d=3, max_degree=5), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_evaluation_matches_dict_loop(p, seed):
+    rng = np.random.default_rng(seed)
+    zpt = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    old, scale = _dict_loop_value(p, np.asarray(zpt, dtype=complex))
+    new = p(zpt)
+    assert isinstance(new, complex)
+    assert abs(new - old) <= 1e-14 * max(abs(old), scale)
+
+
+@given(polys(d=3, max_degree=5), st.integers(1, 9), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_batch_rows_equal_points(p, batch, seed):
+    rng = np.random.default_rng(seed)
+    zs = rng.standard_normal((batch, 3)) + 1j * rng.standard_normal((batch, 3))
+    vals = p(zs)
+    assert vals.shape == (batch,)
+    assert all(vals[k] == p(zs[k]) for k in range(batch))
+
+
+def test_matrix_polynomial_batch():
+    P = MatrixPolynomial([[z(1), z(2) ** 2], [2 * z(1) * z(2), Polynomial(2, {})]])
+    zs = np.array([[0.6, 0.8j], [1.0, 0.0], [0.3 - 0.1j, 0.5]])
+    assert P(zs).shape == (3, 2, 2)
+    sups = P.sup_eval(zs)
+    assert sups.shape == (3,)
+    for k in range(3):
+        assert np.array_equal(P(zs)[k], P(zs[k]))
+        assert sups[k] == P.sup_eval(zs[k])
+        assert sups[k] == pytest.approx(np.linalg.norm(P(zs[k]), 2), rel=1e-14)
+    scalar = MatrixPolynomial.from_scalar(z(1) * z(2))
+    assert scalar.sup_eval(zs).tolist() == [abs(p) for p in (z(1) * z(2))(zs)]
+
+
+def test_bad_point_shape_rejected():
+    with pytest.raises(ValueError):
+        z(1)([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        z(1)(np.zeros((2, 2, 2)))

@@ -70,6 +70,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             RunConfig.from_dict(doc)
 
+    def test_unknown_optimizer_key_rejected(self):
+        doc = dict(BASE)
+        doc["experiments"] = [
+            {"id": "e", "kind": "essnorm", "polynomial": [[[1, 0], 1.0, 0.0]],
+             "optimizer": {"n_starts": 4, "fd_step": 1e-6}}
+        ]
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict(doc)
+        assert "'fd_step'" in str(err.value)
+        assert "'n_starts'" in str(err.value) and "'grad_tol'" in str(err.value)
+
 
 def essnorm_config(tmp_path):
     doc = dict(BASE)
@@ -94,6 +105,10 @@ class TestRun:
         assert r.headline["estimate"] == pytest.approx(1.0, abs=1e-10)
         assert r.headline["boundary_sup"] == pytest.approx(1.0, abs=1e-8)
         assert r.headline["comparison"]["verdict"] == "match"
+        # convergence report: every start of z1 on the free sphere is stationary
+        assert r.headline["n_stationary"] == 8
+        assert r.headline["final_penalty"] == 0.0
+        assert r.headline["worst_feasibility_residual"] <= 1e-8
         assert (tmp_path / "out" / "report.json").exists()
         assert (tmp_path / "out" / "summary.txt").exists()
         assert (tmp_path / "out" / "essnorm-z1_grid.csv").exists()
