@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grading import HomogeneousIdeal, monomial_basis, monomial_weights
+from .grading import HomogeneousIdeal, monomial_exponents, monomial_weights
 from .operators import ShiftBlocks
 from .polynomials import MatrixPolynomial, Polynomial, as_matrix_polynomial
 
@@ -348,7 +348,7 @@ def kernel_vector(lam, sigma: float, N: int) -> KernelVector:
     for n in range(N + 1):
         # the coefficient of z^alpha is C conj(lam)^alpha / ||z^alpha||^2
         w = monomial_weights(d, n, sigma)
-        vec = C * np.prod(lam_conj ** np.array(monomial_basis(d, n)), axis=1) / w
+        vec = C * np.prod(lam_conj ** monomial_exponents(d, n), axis=1) / w
         coeffs.append(vec)
         norm_sq += float(np.sum(np.abs(vec) ** 2 * w))
     return KernelVector(
@@ -402,10 +402,9 @@ def character_check(
     proj_res_sq = 0.0
     for n in range(N + 1):
         x = kv.weighted_coords(n, basis.sqrt_weights(n))
-        Q = basis.complement_basis(n)
-        y = Q.conj().T @ x
+        y = basis.to_complement(x, n)
         proj.append(y)
-        proj_res_sq += float(np.linalg.norm(x - Q @ y) ** 2)
+        proj_res_sq += float(np.linalg.norm(x - basis.from_complement(y, n)) ** 2)
 
     # <p(S) v, v> = sum over k and n of <B_n v_n, v_{n+k}>, where B_n is the
     # block H_n -> H_{n+k} of the degree-k part of p, compressed to 0..N

@@ -3,7 +3,12 @@
 Everything at degree n is expressed in *weighted monomial coordinates*: the
 coefficient of z^alpha times the norm of z^alpha, so the standard hermitian
 inner product on coordinate vectors is the weighted inner product on
-polynomials.  Orthonormalization then reduces to plain numpy SVD.
+polynomials.  Distinct monomials are orthogonal, so where every generator of
+degree <= n is a single monomial, I_n is spanned by the monomials some
+generator divides and H_n by the rest (the standard monomials): the basis is
+an exact selection.  Other degrees take an SVD of the generator multiples,
+with columns scaled to unit norm, and record how near the rank decision came
+to its threshold.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ __all__ = [
     "HilbertFunction",
     "hilbert_function",
     "monomial_basis",
+    "monomial_exponents",
+    "monomial_rank",
     "monomial_weights",
     "total_dimension",
 ]
@@ -52,13 +59,38 @@ def monomial_weights(d: int, n: int, sigma: float) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=None)
+def monomial_exponents(d: int, n: int) -> np.ndarray:
+    """``monomial_basis(d, n)`` as a read-only (count, d) integer array."""
+    e = np.array(monomial_basis(d, n), dtype=np.int64).reshape(-1, d)
+    e.flags.writeable = False
+    return e
+
+
+def monomial_rank(exponents: np.ndarray) -> np.ndarray:
+    """Position of each row (a multi-index) in ``monomial_basis`` of its degree.
+
+    The order is lexicographically decreasing, so the monomials that precede
+    alpha are those that agree with it before some coordinate i and exceed it
+    at i; with r the degree left after coordinate i, there are
+    C(r + d - i - 2, d - i - 1) of them (0-based i).
+    """
+    e = np.asarray(exponents, dtype=np.int64)
+    d = e.shape[-1]
+    rest = e.sum(axis=-1)
+    rank = np.zeros_like(rest)
+    for i in range(d - 1):
+        rest = rest - e[..., i]
+        top, j = rest + d - i - 2, d - i - 1
+        binom = np.ones_like(rest)
+        for m in range(j):  # C(top, m + 1) from C(top, m), exactly
+            binom = binom * (top - m) // (m + 1)
+        rank += binom
+    return rank
+
+
 def total_dimension(d: int, n: int) -> int:
     return math.comb(n + d - 1, d - 1)
-
-
-@lru_cache(maxsize=None)
-def _index_map(d: int, n: int) -> dict:
-    return {alpha: k for k, alpha in enumerate(monomial_basis(d, n))}
 
 
 @dataclass(frozen=True)
@@ -100,11 +132,26 @@ class HomogeneousIdeal:
 
 @dataclass
 class _DegreeRecord:
+    """The degree-n pieces of I and H, in one of two forms.
+
+    A *selection* (every generator of degree <= n is a monomial) holds the
+    positions in ``monomials`` of the monomials in I_n and of the standard
+    monomials, as 1-d index arrays, and makes no rank decision.  Otherwise
+    both are matrices with orthonormal columns, from an SVD, and
+    ``rank_margin`` says how far, as a factor, the nearest singular value
+    sat from the threshold ``rank_tol * s_0``.
+    """
+
     n: int
     monomials: tuple[tuple[int, ...], ...]
     sqrt_weights: np.ndarray  # per-monomial norm, weighted-coordinate scaling
-    ideal_basis: np.ndarray  # (dim_total, dim_ideal), orthonormal columns
-    complement_basis: np.ndarray  # (dim_total, dim_complement)
+    ideal_basis: np.ndarray  # positions, or (dim_total, dim_ideal)
+    complement_basis: np.ndarray  # positions, or (dim_total, dim_complement)
+    rank_margin: float | None = None  # None for a selection
+
+    @property
+    def is_selection(self) -> bool:
+        return self.complement_basis.ndim == 1
 
     @property
     def dim_total(self) -> int:
@@ -112,11 +159,30 @@ class _DegreeRecord:
 
     @property
     def dim_ideal(self) -> int:
-        return self.ideal_basis.shape[1]
+        return self.ideal_basis.shape[-1]
 
     @property
     def dim_complement(self) -> int:
-        return self.complement_basis.shape[1]
+        return self.complement_basis.shape[-1]
+
+    def support(self) -> np.ndarray:
+        """Positions of the monomials the complement basis is built on."""
+        if self.is_selection:
+            return self.complement_basis
+        return np.arange(self.dim_total)
+
+
+def _selection_matrix(positions: np.ndarray, t: int) -> np.ndarray:
+    Q = np.zeros((t, len(positions)), dtype=complex)
+    Q[positions, np.arange(len(positions))] = 1.0
+    return Q
+
+
+def _rank_margin(s: np.ndarray, threshold: float) -> float:
+    """min_j max(s_j / threshold, threshold / s_j): the factor by which the
+    singular value nearest the threshold clears it (inf for an exact zero)."""
+    with np.errstate(divide="ignore"):
+        return float(np.exp(np.abs(np.log(s / threshold)).min()))
 
 
 class GradedComplementBasis:
@@ -153,10 +219,18 @@ class GradedComplementBasis:
         return self._records[n]
 
     def ideal_degree_basis(self, n: int) -> np.ndarray:
-        return self.record(n).ideal_basis
+        """Orthonormal columns spanning I_n (built on demand for a selection)."""
+        rec = self.record(n)
+        if rec.is_selection:
+            return _selection_matrix(rec.ideal_basis, rec.dim_total)
+        return rec.ideal_basis
 
     def complement_basis(self, n: int) -> np.ndarray:
-        return self.record(n).complement_basis
+        """Orthonormal columns spanning H_n (built on demand for a selection)."""
+        rec = self.record(n)
+        if rec.is_selection:
+            return _selection_matrix(rec.complement_basis, rec.dim_total)
+        return rec.complement_basis
 
     def dim_ideal(self, n: int) -> int:
         return self.record(n).dim_ideal
@@ -167,14 +241,29 @@ class GradedComplementBasis:
     def sqrt_weights(self, n: int) -> np.ndarray:
         return self.record(n).sqrt_weights
 
+    def to_complement(self, x: np.ndarray, n: int) -> np.ndarray:
+        """H_n coordinates of the projection of weighted coordinates x."""
+        rec = self.record(n)
+        if rec.is_selection:
+            return x[rec.complement_basis]
+        return rec.complement_basis.conj().T @ x
+
+    def from_complement(self, y: np.ndarray, n: int) -> np.ndarray:
+        """Weighted coordinates of the H_n vector with coordinates y."""
+        rec = self.record(n)
+        if rec.is_selection:
+            x = np.zeros(rec.dim_total, dtype=complex)
+            x[rec.complement_basis] = y
+            return x
+        return rec.complement_basis @ y
+
     def to_weighted_coords(self, p: Polynomial, n: int) -> np.ndarray:
         """Coordinates of the degree-n part of p, scaled by monomial norms."""
         rec = self.record(n)
-        idx = _index_map(self.d, n)
         x = np.zeros(rec.dim_total, dtype=complex)
-        for alpha, c in p.coeffs.items():
-            if sum(alpha) == n:
-                x[idx[alpha]] = c
+        terms = [(alpha, c) for alpha, c in p.coeffs.items() if sum(alpha) == n]
+        if terms:
+            x[monomial_rank([alpha for alpha, _ in terms])] = [c for _, c in terms]
         return x * rec.sqrt_weights
 
     def from_weighted_coords(self, x: np.ndarray, n: int) -> Polynomial:
@@ -188,43 +277,50 @@ class GradedComplementBasis:
 
     def complement_vector_polynomial(self, n: int, a: int) -> Polynomial:
         """The a-th orthonormal basis polynomial of H_n."""
-        return self.from_weighted_coords(self.complement_basis(n)[:, a], n)
+        y = np.zeros(self.dim_complement(n), dtype=complex)
+        y[a] = 1.0
+        return self.from_weighted_coords(self.from_complement(y, n), n)
 
     def project_to_complement(self, p: Polynomial, n: int) -> np.ndarray:
         """Coefficients of the degree-n part of p in the H_n basis."""
-        Q = self.complement_basis(n)
-        return Q.conj().T @ self.to_weighted_coords(p, n)
+        return self.to_complement(self.to_weighted_coords(p, n), n)
 
     # construction
 
     def _build_degree(self, n: int) -> _DegreeRecord:
         monos = monomial_basis(self.d, n)
-        t = len(monos)
         sw = np.sqrt(monomial_weights(self.d, n, self.weights.sigma))
-        idx = _index_map(self.d, n)
+        gens = [g for g in self.ideal.generators if g.degree <= n]
+        if all(len(g.coeffs) == 1 for g in gens):
+            # I_n is spanned by the monomials some generator exponent divides
+            E = monomial_exponents(self.d, n)
+            in_ideal = np.zeros(len(monos), dtype=bool)
+            for g in gens:
+                (gamma,) = g.coeffs
+                in_ideal |= (E >= np.array(gamma)).all(axis=1)
+            return _DegreeRecord(n, monos, sw, np.flatnonzero(in_ideal),
+                                 np.flatnonzero(~in_ideal))
 
-        cols = []
-        for g in self.ideal.generators:
-            k = g.degree
-            if k > n:
-                continue
-            for beta in monomial_basis(self.d, n - k):
-                col = np.zeros(t, dtype=complex)
-                for alpha, c in g.coeffs.items():
-                    gamma = tuple(b + a for b, a in zip(beta, alpha))
-                    col[idx[gamma]] += c * sw[idx[gamma]]
-                cols.append(col)
-
-        if not cols:
-            ideal_q = np.zeros((t, 0), dtype=complex)
-            comp_q = np.eye(t, dtype=complex)
-        else:
-            A = np.column_stack(cols)
-            U, s, _ = np.linalg.svd(A, full_matrices=True)
-            r = int(np.count_nonzero(s > self.rank_tol * s[0])) if s.size else 0
-            ideal_q = U[:, :r]
-            comp_q = U[:, r:]
-        return _DegreeRecord(n, monos, sw, ideal_q, comp_q)
+        # columns z^beta g in weighted coordinates, scaled to unit norm: the
+        # weights spread over many orders of magnitude in n, and unscaled
+        # columns would drag full-rank singular values under the threshold
+        betas = [monomial_exponents(self.d, n - g.degree) for g in gens]
+        A = np.zeros((len(monos), sum(map(len, betas))), dtype=complex)
+        norm_sq = np.zeros(A.shape[1])  # the terms of a column are orthogonal
+        start = 0
+        for g, B in zip(gens, betas):
+            cols = np.arange(start, start + len(B))
+            for alpha, c in g.coeffs.items():
+                rows = monomial_rank(B + np.array(alpha))
+                A[rows, cols] += c * sw[rows]
+                norm_sq[cols] += abs(c) ** 2 * sw[rows] ** 2
+            start += len(B)
+        A /= np.sqrt(norm_sq)
+        U, s, _ = np.linalg.svd(A, full_matrices=True)
+        threshold = self.rank_tol * s[0]
+        r = int(np.count_nonzero(s > threshold))
+        return _DegreeRecord(n, monos, sw, U[:, :r], U[:, r:],
+                             _rank_margin(s, threshold))
 
 
 @dataclass
@@ -235,6 +331,9 @@ class HilbertFunction:
     dims_ideal: list[int]
     dims_total: list[int]
     finite_codimension_suspected: bool = field(default=False)
+    # per degree, the SVD's rank margin (see _DegreeRecord); None where the
+    # degree is a selection and no rank was decided
+    rank_margins: list[float | None] = field(default_factory=list)
 
     def rows(self):
         for n, (t, di, dh) in enumerate(
@@ -260,7 +359,8 @@ def hilbert_function(
     dh = [basis.dim_complement(n) for n in range(n_max + 1)]
     di = [basis.dim_ideal(n) for n in range(n_max + 1)]
     dt = [basis.record(n).dim_total for n in range(n_max + 1)]
+    margins = [basis.record(n).rank_margin for n in range(n_max + 1)]
     # a vanishing tail means every high-degree polynomial is in the ideal
     tail = dh[max(1, n_max // 2):]
     suspect = bool(tail) and all(x == 0 for x in tail)
-    return HilbertFunction(dh, di, dt, suspect)
+    return HilbertFunction(dh, di, dt, suspect, margins)

@@ -12,6 +12,7 @@ have different degrees).
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -19,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grading import GradedComplementBasis, monomial_basis, _index_map
+from .grading import GradedComplementBasis, monomial_basis, monomial_exponents, monomial_rank
 from .polynomials import MatrixPolynomial, Polynomial, as_matrix_polynomial
 
 __all__ = [
@@ -43,7 +44,8 @@ class ShiftBlocks:
     """Blocks of S_i : H_n -> H_{n+1} and of multiplication operators.
 
     Wraps a GradedComplementBasis; all computed blocks are cached and
-    immutable, so instances are safe for concurrent read.
+    read-only, and the cache is filled under a lock, so instances are safe
+    for concurrent use.
     """
 
     def __init__(self, basis: GradedComplementBasis):
@@ -51,22 +53,31 @@ class ShiftBlocks:
         self.d = basis.d
         self.n_max = basis.n_max
         self._mult_cache: dict[tuple[Polynomial, int], np.ndarray] = {}
+        self._lock = threading.Lock()
 
     # -- raw multiplication in weighted monomial coordinates
 
     def _mult_matrix(self, q: Polynomial, n: int) -> np.ndarray:
-        """Multiplication by homogeneous q, degree-n coords to degree n+k."""
-        k = q.degree
-        src = monomial_basis(self.d, n)
-        sw_src = self.basis.sqrt_weights(n)
-        sw_dst = self.basis.sqrt_weights(n + k)
-        idx_dst = _index_map(self.d, n + k)
-        M = np.zeros((len(sw_dst), len(src)), dtype=complex)
-        for a, alpha in enumerate(src):
-            for gamma, c in q.coeffs.items():
-                tgt = tuple(x + y for x, y in zip(alpha, gamma))
-                b = idx_dst[tgt]
-                M[b, a] += c * sw_dst[b] / sw_src[a]
+        """Multiplication by homogeneous q of degree k, in weighted monomial
+        coordinates, from the support of degree n to that of degree n+k.
+
+        z^alpha goes to sum_gamma c_gamma z^(alpha+gamma), and in weighted
+        coordinates each term carries sw(alpha+gamma)/sw(alpha).  On a
+        selection the supports are the standard monomials, and a product
+        that lands in the ideal is dropped: that is the compression.
+        """
+        src, dst = self.basis.record(n), self.basis.record(n + q.degree)
+        cols, dst_support = src.support(), dst.support()
+        where = np.full(dst.dim_total, -1)  # row of each monomial, -1 off support
+        where[dst_support] = np.arange(len(dst_support))
+        alphas = monomial_exponents(self.d, n)[cols]
+        sw_src = src.sqrt_weights[cols]
+        M = np.zeros((len(dst_support), len(cols)), dtype=complex)
+        for gamma, c in q.coeffs.items():
+            tgt = monomial_rank(alphas + np.array(gamma))
+            rows = where[tgt]
+            hit = rows >= 0
+            M[rows[hit], np.flatnonzero(hit)] += c * dst.sqrt_weights[tgt[hit]] / sw_src[hit]
         return M
 
     def mult_block(self, q: Polynomial, n: int) -> np.ndarray:
@@ -90,10 +101,17 @@ class ShiftBlocks:
                 c = q.coeffs[(0,) * self.d]
                 blk = c * np.eye(self.basis.dim_complement(n), dtype=complex)
             else:
-                Qs = self.basis.complement_basis(n)
-                Qd = self.basis.complement_basis(n + k)
-                blk = Qd.conj().T @ self._mult_matrix(q, n) @ Qs
-            self._mult_cache[key] = blk
+                # a selection's basis is its support, so only SVD degrees
+                # need the change of basis Q^H M Q
+                blk = self._mult_matrix(q, n)
+                src, dst = self.basis.record(n), self.basis.record(n + k)
+                if not dst.is_selection:
+                    blk = dst.complement_basis.conj().T @ blk
+                if not src.is_selection:
+                    blk = blk @ src.complement_basis
+            blk.flags.writeable = False
+            with self._lock:  # every caller gets the first block stored
+                blk = self._mult_cache.setdefault(key, blk)
         return blk
 
     def shift_block(self, i: int, n: int) -> np.ndarray:

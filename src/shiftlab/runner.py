@@ -53,6 +53,8 @@ SCHEMA_VERSION = 1
 
 KNOWN_KINDS = {"essnorm", "commutator", "besov", "character", "aastar", "dims"}
 OPTIMIZER_KEYS = {f.name for f in fields(OptimizerConfig)}
+# a dims experiment warns about a rank decision this close to its threshold
+RANK_MARGIN_WARNING = 1e3
 
 
 class ConfigError(ValueError):
@@ -282,6 +284,8 @@ class _CacheSet:
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return ""
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
@@ -540,13 +544,19 @@ def _run_dims(cfg, spec, caches, out_dir: Path) -> ExperimentReport:
     t0 = time.perf_counter()
     n_max = int(spec.params.get("n_max", cfg.n_max))
     hf = hilbert_function(cfg.ideal, n_max, rank_tol=cfg.rank_tol)
-    rows = [[n, t, di, dh] for n, t, di, dh in hf.rows()]
+    rows = [[n, t, di, dh, margin]
+            for (n, t, di, dh), margin in zip(hf.rows(), hf.rank_margins)]
     _write_csv(
         out_dir / f"{spec.id}_dims.csv",
-        ["n", "dim_total", "dim_ideal", "dim_complement"],
+        ["n", "dim_total", "dim_ideal", "dim_complement", "rank_margin"],
         rows,
     )
-    warn = []
+    warn = [
+        f"degree {n}: rank decision within a factor {margin:.3g} of the "
+        f"threshold rank_tol * s_0"
+        for n, margin in enumerate(hf.rank_margins)
+        if margin is not None and margin < RANK_MARGIN_WARNING
+    ]
     if hf.finite_codimension_suspected:
         warn.append(
             "complement dimensions vanish at high degree: the ideal looks "
@@ -555,7 +565,9 @@ def _run_dims(cfg, spec, caches, out_dir: Path) -> ExperimentReport:
     return ExperimentReport(
         id=spec.id, kind=spec.kind, status="ok",
         headline={"dims_complement": hf.dims_complement,
-                  "finite_codimension_suspected": hf.finite_codimension_suspected},
+                  "finite_codimension_suspected": hf.finite_codimension_suspected,
+                  "min_rank_margin": min(
+                      (m for m in hf.rank_margins if m is not None), default=None)},
         series={"dims": rows},
         inputs={"n_max": n_max},
         wall_time=time.perf_counter() - t0,

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to freeze expected values.
 
-These deliberately avoid the library's weighted-SVD path: dimensions come
-from combinatorial monomial counting or exact rational row reduction, norms
-from direct enumeration, and gradients from central finite differences.
+These deliberately avoid the library's basis and block paths: dimensions
+come from combinatorial monomial counting or exact rational row reduction,
+norms from direct enumeration, monomial-ideal blocks and defects from their
+closed forms, and gradients from central finite differences.
 """
 
 from fractions import Fraction
@@ -25,6 +26,54 @@ def monomial_ideal_degree_dim(gen_exponents, d, n):
         ):
             count += 1
     return count
+
+
+def standard_monomials(gen_exponents, d, n):
+    """Degree-n multi-indices that no generator exponent divides, in
+    monomial_basis order: the orthogonal basis of H_n for a monomial ideal."""
+    return [
+        alpha for alpha in monomial_basis(d, n)
+        if not any(all(a >= g for a, g in zip(alpha, gen)) for gen in gen_exponents)
+    ]
+
+
+def monomial_shift_block(gen_exponents, d, sigma, i, n):
+    """Block of S_i : H_n -> H_{n+1} (i 1-based) for a monomial ideal, on the
+    normalized standard monomials.
+
+    ||z^alpha||^2 = c_n alpha!/n! with c_{n+1}/c_n = (n+1)/(n+2 sigma), so S_i
+    sends e_alpha to sqrt((alpha_i+1)/(n+2 sigma)) e_(alpha+e_i), or to 0 when
+    alpha+e_i lies in the ideal.
+    """
+    src = standard_monomials(gen_exponents, d, n)
+    dst = {b: k for k, b in enumerate(standard_monomials(gen_exponents, d, n + 1))}
+    B = np.zeros((len(dst), len(src)))
+    for a, alpha in enumerate(src):
+        beta = tuple(x + (k == i - 1) for k, x in enumerate(alpha))
+        if beta in dst:
+            B[dst[beta], a] = math.sqrt((alpha[i - 1] + 1) / (n + 2 * sigma))
+    return B
+
+
+def monomial_defects(gen_exponents, d, sigma, n):
+    """Diagonals of I - sum_i S_i S_i* and I - sum_i S_i* S_i on H_n for a
+    monomial ideal.
+
+    A divisor of a standard monomial is standard, so S_i* sends e_beta to
+    sqrt(beta_i/(n-1+2 sigma)) e_(beta-e_i) whenever beta_i >= 1, and the row
+    defect is 1 - n/(n+2 sigma-1) for n >= 1 (1 at n = 0).  The column defect
+    at e_alpha is 1 - sum over the i with alpha+e_i standard of
+    (alpha_i+1)/(n+2 sigma).
+    """
+    src = standard_monomials(gen_exponents, d, n)
+    dst = set(standard_monomials(gen_exponents, d, n + 1))
+    row = np.full(len(src), 1.0 if n == 0 else 1.0 - n / (n + 2 * sigma - 1))
+    col = np.ones(len(src))
+    for a, alpha in enumerate(src):
+        for i in range(d):
+            if tuple(x + (k == i) for k, x in enumerate(alpha)) in dst:
+                col[a] -= (alpha[i] + 1) / (n + 2 * sigma)
+    return row, col
 
 
 def rational_rank(columns):

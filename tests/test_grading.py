@@ -8,12 +8,14 @@ from shiftlab.grading import (
     HomogeneousIdeal,
     hilbert_function,
     monomial_basis,
+    monomial_exponents,
+    monomial_rank,
     monomial_weights,
     total_dimension,
 )
 from shiftlab.polynomials import Polynomial, WeightScheme, besov_weight
 
-from oracles import ideal_degree_dim_exact, monomial_ideal_degree_dim
+from oracles import ideal_degree_dim_exact, monomial_ideal_degree_dim, standard_monomials
 
 
 def mono(*alpha):
@@ -152,6 +154,121 @@ class TestHilbertFunction:
         hf = hilbert_function(I, 6)
         assert hf.dims_complement == [1, 0, 0, 0, 0, 0, 0]
         assert hf.finite_codimension_suspected
+
+
+class TestSelectionBasis:
+    """Monomial ideals: H_n is spanned by the standard monomials."""
+
+    @pytest.mark.parametrize("d, gens", [(2, [(1, 1)]), (3, [(1, 1, 0), (0, 0, 2)]),
+                                         (2, [(2, 0), (0, 3)]), (3, [])])
+    def test_positions_are_standard_monomials(self, d, gens):
+        ideal = HomogeneousIdeal.from_generators([mono(*g) for g in gens], d)
+        basis = GradedComplementBasis(ideal, WeightScheme(1.0, d), 9)
+        for n in range(10):
+            rec = basis.record(n)
+            std = [rec.monomials[k] for k in rec.complement_basis]
+            assert std == standard_monomials(gens, d, n)
+            assert basis.dim_ideal(n) == monomial_ideal_degree_dim(gens, d, n)
+            assert sorted(np.concatenate([rec.ideal_basis, rec.complement_basis])) == list(
+                range(rec.dim_total))
+
+    def test_dense_matrix_on_demand(self):
+        I = HomogeneousIdeal.from_generators([mono(1, 1)], 2)
+        basis = GradedComplementBasis(I, W, 6)
+        Q = basis.complement_basis(5)
+        assert Q.shape == (6, 2)
+        assert np.array_equal(Q[[0, 5]], np.eye(2))  # z1^5 and z2^5
+        assert basis.complement_basis(5) is not Q  # built per call, not kept
+        assert basis.ideal_degree_basis(5).shape == (6, 4)
+
+    @pytest.mark.parametrize("gens", [[mono(1, 1)], [z(1) ** 2 + z(2) ** 2]])
+    def test_coordinate_maps_match_dense_basis(self, gens):
+        basis = GradedComplementBasis(HomogeneousIdeal.from_generators(gens, 2), W, 7)
+        rng = np.random.default_rng(3)
+        for n in range(8):
+            Q = basis.complement_basis(n)
+            x = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+            y = rng.standard_normal(Q.shape[1]) + 1j * rng.standard_normal(Q.shape[1])
+            assert np.abs(basis.to_complement(x, n) - Q.conj().T @ x).max(initial=0) <= 1e-14
+            assert np.abs(basis.from_complement(y, n) - Q @ y).max(initial=0) <= 1e-14
+
+    def test_general_ideal_low_degrees_are_selections(self):
+        # below its generator's degree a quadric decides no rank
+        w1, w2, w3 = (Polynomial.variable(3, i) for i in (1, 2, 3))
+        I = HomogeneousIdeal.from_generators([w1 ** 2 + w2 ** 2 + w3 ** 2, w1 * w2 * w3], 3)
+        hf = hilbert_function(I, 4)
+        assert hf.rank_margins[:2] == [None, None]
+        assert all(m is not None for m in hf.rank_margins[2:])
+
+
+class TestRankDecisions:
+    """The SVD path, with unit-norm columns, at degrees where the unscaled
+    weighted columns spread over more orders of magnitude than rank_tol."""
+
+    def test_sum_of_squares_dims_at_high_degree(self):
+        I = HomogeneousIdeal.from_generators([z(1) ** 2 + z(2) ** 2], 2)
+        hf = hilbert_function(I, 122)
+        assert hf.dims_complement[2:] == [2] * 121
+        assert hf.dims_ideal[2:] == list(range(1, 122))
+
+    def test_principal_quadric_dims(self):
+        # multiplication by a nonzero g is injective, so dim I_n = dim P_{n-2};
+        # building every degree up to 56 takes most of a minute, so only the
+        # degrees checked are built
+        w1, w2, w3 = (Polynomial.variable(3, i) for i in (1, 2, 3))
+        I = HomogeneousIdeal.from_generators([w1 ** 2 + w2 ** 2 + w3 ** 2], 3)
+        basis = GradedComplementBasis(I, WeightScheme(1.0, 3), 2)
+        for n in (10, 30, 46, 56):
+            rec = basis._build_degree(n)
+            assert rec.dim_ideal == total_dimension(3, n - 2)
+            assert rec.dim_complement == 2 * n + 1
+            assert rec.rank_margin > 1e3
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0])
+    def test_against_rational_oracle(self, sigma):
+        w1, w2, w3 = (Polynomial.variable(3, i) for i in (1, 2, 3))
+        for gens in ([w1 ** 2 + w2 ** 2 + w3 ** 2],
+                     [w1 * w2, w1 ** 2 - w2 * w3],
+                     [w1 ** 2 + 2 * w2 * w3, w2 ** 3 - w1 * w3 ** 2]):
+            basis = GradedComplementBasis(
+                HomogeneousIdeal.from_generators(gens, 3), WeightScheme(sigma, 3), 8)
+            for n in range(9):
+                assert basis.dim_ideal(n) == ideal_degree_dim_exact(gens, 3, n)
+
+    def test_margin_of_orthogonal_columns(self):
+        # at n = 2 and 3 the multiples of z1^2 + z2^2 have disjoint supports,
+        # so every scaled singular value is 1 and the margin is 1/rank_tol
+        I = HomogeneousIdeal.from_generators([z(1) ** 2 + z(2) ** 2], 2)
+        hf = hilbert_function(I, 3, rank_tol=1e-6)
+        assert hf.rank_margins[:2] == [None, None]
+        assert hf.rank_margins[2:] == pytest.approx([1e6, 1e6], rel=1e-12)
+
+    def test_margin_measures_the_nearest_singular_value(self):
+        # (z1 + z2)^2 and (z1 - z2)^2 span a plane of degree 2 that the third
+        # generator leaves by 1e-7; its singular value is nearest the threshold
+        g1, g2 = (z(1) + z(2)) ** 2, (z(1) - z(2)) ** 2
+        I = HomogeneousIdeal.from_generators([g1, g2, g1 + 1e-7 * z(1) ** 2], 2)
+        basis = GradedComplementBasis(I, W, 2)
+        rec = basis.record(2)
+        A = np.column_stack([basis.to_weighted_coords(g, 2) for g in I.generators])
+        s = np.linalg.svd(A / np.linalg.norm(A, axis=0), compute_uv=False)
+        thr = basis.rank_tol * s[0]
+        assert rec.dim_ideal == 3
+        assert rec.rank_margin == pytest.approx(s[-1] / thr, rel=1e-6)
+        # with a threshold above it, the same value is dropped, by thr / s
+        rec = GradedComplementBasis(I, W, 2, rank_tol=1e-5).record(2)
+        assert rec.dim_ideal == 2
+        assert rec.rank_margin == pytest.approx(1e-5 * s[0] / s[-1], rel=1e-6)
+
+
+def test_monomial_rank_is_position_in_monomial_basis():
+    for d in (1, 2, 3, 4):
+        for n in range(9):
+            E = monomial_exponents(d, n)
+            assert E.tolist() == [list(a) for a in monomial_basis(d, n)]
+            assert monomial_rank(E).tolist() == list(range(len(E)))
+    with pytest.raises(ValueError):
+        monomial_exponents(2, 3)[0, 0] = 1
 
 
 def test_monomial_basis_order_is_graded_lex():

@@ -1,10 +1,18 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from oracles import monomial_defects, monomial_shift_block
 from shiftlab.boundary import character_check, kernel_vector
-from shiftlab.grading import GradedComplementBasis, HomogeneousIdeal, monomial_basis
+from shiftlab.grading import (
+    GradedComplementBasis,
+    HomogeneousIdeal,
+    monomial_basis,
+    monomial_weights,
+)
 from shiftlab.operators import (
     ShiftBlocks,
     default_window_schedule,
@@ -375,3 +383,153 @@ class TestBlockwiseAgreesWithAssembled:
             ref = np.vdot(v, t.matrix @ v)
             assert abs(res.vector_state_value - ref) <= 1e-12
             assert res.operator_norm == pytest.approx(operator_norm(t), abs=1e-12)
+
+
+# monomial ideals as (d, generator exponents): the zero ideal, (z1z2) and
+# (z1^2, z2^3)
+MONOMIAL_IDEALS = [(2, []), (3, []), (2, [(1, 1)]), (2, [(2, 0), (0, 3)])]
+
+
+def monomial_blocks(d, gens, sigma, n_max):
+    return make_blocks([Polynomial.monomial(g) for g in gens], d, sigma, n_max)
+
+
+class TestMonomialIdealClosedForm:
+    """Blocks, defects and commutators on a monomial ideal against the
+    closed forms in tests/oracles.py."""
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("d, gens", MONOMIAL_IDEALS)
+    def test_shift_blocks(self, d, gens, sigma):
+        blocks = monomial_blocks(d, gens, sigma, 12)
+        for n in range(12):
+            for i in range(1, d + 1):
+                ref = monomial_shift_block(gens, d, sigma, i, n)
+                B = blocks.shift_block(i, n)
+                assert B.shape == ref.shape
+                assert np.abs(B - ref).max(initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("d, gens", MONOMIAL_IDEALS)
+    def test_defects(self, d, gens, sigma):
+        blocks = monomial_blocks(d, gens, sigma, 12)
+        for n in range(12):
+            row, col = monomial_defects(gens, d, sigma, n)
+            assert np.abs(blocks.row_defect_block(n) - np.diag(row)).max(initial=0.0) <= 1e-12
+            assert np.abs(blocks.column_defect_block(n) - np.diag(col)).max(initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("d, gens", MONOMIAL_IDEALS)
+    def test_commutators(self, d, gens, sigma):
+        blocks = monomial_blocks(d, gens, sigma, 10)
+
+        def S(i, n):
+            return monomial_shift_block(gens, d, sigma, i, n)
+
+        for n in range(10):
+            for i in range(1, d + 1):
+                for j in range(1, d + 1):
+                    ref = -S(j, n).T @ S(i, n)
+                    if n >= 1:
+                        ref = ref + S(i, n - 1) @ S(j, n - 1).T
+                    C = blocks.commutator_block(i, j, n)
+                    assert np.abs(C - ref).max(initial=0.0) <= 1e-12
+
+
+def _svd_complement(gens, d, sigma, n):
+    """The complement basis as it was built for every ideal before monomial
+    ideals became selections: an SVD of the unscaled weighted multiples
+    z^beta g, rank cut at 1e-10 s_0, and the identity without generators."""
+    monos = monomial_basis(d, n)
+    idx = {alpha: k for k, alpha in enumerate(monos)}
+    sw = np.sqrt(monomial_weights(d, n, sigma))
+    cols = []
+    for g in gens:
+        if g.degree > n:
+            continue
+        for beta in monomial_basis(d, n - g.degree):
+            col = np.zeros(len(monos), dtype=complex)
+            for alpha, c in g.coeffs.items():
+                gamma = tuple(b + a for b, a in zip(beta, alpha))
+                col[idx[gamma]] += c * sw[idx[gamma]]
+            cols.append(col)
+    if not cols:
+        return np.eye(len(monos), dtype=complex)
+    U, s, _ = np.linalg.svd(np.column_stack(cols), full_matrices=True)
+    return U[:, int(np.count_nonzero(s > 1e-10 * s[0])):]
+
+
+def _svd_mult_block(gens, d, sigma, q, n):
+    """Q_{n+k}^H M Q_n, with M the weighted multiplication matrix built by the
+    per-monomial loop this replaced."""
+    k = q.degree
+    src, dst = monomial_basis(d, n), monomial_basis(d, n + k)
+    idx = {alpha: b for b, alpha in enumerate(dst)}
+    sw_src = np.sqrt(monomial_weights(d, n, sigma))
+    sw_dst = np.sqrt(monomial_weights(d, n + k, sigma))
+    M = np.zeros((len(dst), len(src)), dtype=complex)
+    for a, alpha in enumerate(src):
+        for gamma, c in q.coeffs.items():
+            b = idx[tuple(x + y for x, y in zip(alpha, gamma))]
+            M[b, a] += c * sw_dst[b] / sw_src[a]
+    Qs, Qd = _svd_complement(gens, d, sigma, n), _svd_complement(gens, d, sigma, n + k)
+    return Qd, Qd.conj().T @ M @ Qs, Qs
+
+
+class TestSelectionAgreesWithSVDBasis:
+    """The selection blocks against the SVD basis and Q^H M Q they replace,
+    compared as the embedded operators Q_{n+k} B Q_n^H, which do not depend
+    on the choice of orthonormal basis."""
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0])
+    @pytest.mark.parametrize("d, gens", MONOMIAL_IDEALS)
+    def test_embedded_blocks(self, d, gens, sigma):
+        polys = [Polynomial.monomial(g) for g in gens]
+        blocks = monomial_blocks(d, gens, sigma, 10)
+        basis = blocks.basis
+        z1, z2 = Polynomial.variable(d, 1), Polynomial.variable(d, 2)
+        symbols = [Polynomial.variable(d, i) for i in range(1, d + 1)]
+        symbols += [z1 ** 2 - 2j * z1 * z2 + 0.5 * z2 ** 2, (1 + 1j) * z1 * z2 ** 2]
+        for q in symbols:
+            for n in range(10 - q.degree + 1):
+                Qd, old, Qs = _svd_mult_block(polys, d, sigma, q, n)
+                new = (basis.complement_basis(n + q.degree) @ blocks.mult_block(q, n)
+                       @ basis.complement_basis(n).conj().T)
+                assert np.abs(new - Qd @ old @ Qs.conj().T).max(initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("d, gens", MONOMIAL_IDEALS)
+    def test_no_svd_or_identity_basis(self, monkeypatch, d, gens):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a monomial ideal needs no SVD or identity basis")
+
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        monkeypatch.setattr(np, "eye", forbidden)
+        blocks = monomial_blocks(d, gens, 1.0, 8)
+        for n in range(9):
+            rec = blocks.basis.record(n)
+            assert rec.is_selection and rec.rank_margin is None
+            assert rec.complement_basis.ndim == rec.ideal_basis.ndim == 1
+            if n < 8:
+                blocks.shift_block(1, n)
+
+
+class TestBlockCache:
+    def test_blocks_read_only(self, z1z2_blocks):
+        with pytest.raises(ValueError):
+            z1z2_blocks.shift_block(1, 3)[0, 0] = 2.0
+
+    def test_concurrent_fill_returns_one_block(self):
+        # more threads than cores, switching often: every caller of a key
+        # must get the one block the cache keeps
+        blocks = make_blocks([], d=3, n_max=30)
+        qs = [Polynomial.variable(3, i) * Polynomial.variable(3, 2) ** 2 for i in (1, 2, 3)]
+        keys = [(q, n) for q in qs for n in (20, 24, 27)] * 6
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda key: blocks.mult_block(*key), keys, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for key, blk in zip(keys, got):
+            assert blk is blocks.mult_block(*key)

@@ -1,4 +1,6 @@
+import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -165,6 +167,61 @@ class TestRun:
             assert (tmp_path / "seq" / name).read_bytes() == (
                 tmp_path / "par" / name
             ).read_bytes()
+
+    def test_demo_workers_write_same_bytes(self, tmp_path):
+        # the experiments share one block cache, which the threads fill
+        cfg_path = Path(__file__).resolve().parents[1] / "configs" / "demo.yaml"
+        run(load_config(cfg_path), tmp_path / "seq", workers=1)
+        run(load_config(cfg_path), tmp_path / "par", workers=2)
+
+        def report(sub):
+            text = (tmp_path / sub / "report.json").read_text()
+            return re.sub(r'^\s*"wall_time_s": .*\n', "", text, flags=re.M)
+
+        assert report("seq") == report("par")
+        names = sorted(f.name for f in (tmp_path / "seq").glob("*.csv"))
+        assert len(names) == 6
+        assert names == sorted(f.name for f in (tmp_path / "par").glob("*.csv"))
+        for name in names:
+            assert (tmp_path / "seq" / name).read_bytes() == (
+                tmp_path / "par" / name
+            ).read_bytes()
+
+    def test_dims_rank_margins(self, tmp_path):
+        # (z1+z2)^2, (z1-z2)^2 and (1+1e-7) z1^2 + 2 z1z2 + z2^2: the third
+        # leaves the plane of the first two by 1e-7, so the degree-2 rank
+        # decision is near its threshold; degrees 0 and 1 decide no rank
+        doc = dict(BASE)
+        doc["n_max"] = 4
+        doc["ideal"] = {"generators": [
+            [[[2, 0], 1.0, 0.0], [[1, 1], 2.0, 0.0], [[0, 2], 1.0, 0.0]],
+            [[[2, 0], 1.0, 0.0], [[1, 1], -2.0, 0.0], [[0, 2], 1.0, 0.0]],
+            [[[2, 0], 1.0 + 1e-7, 0.0], [[1, 1], 2.0, 0.0], [[0, 2], 1.0, 0.0]],
+        ]}
+        doc["experiments"] = [{"id": "dims", "kind": "dims"}]
+        (r,) = run(load_config(write_config(tmp_path, doc)), tmp_path / "out")
+        with (tmp_path / "out" / "dims_dims.csv").open() as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["n", "dim_total", "dim_ideal", "dim_complement", "rank_margin"]
+        assert [row[4] for row in rows[1:3]] == ["", ""]
+        margin = float(rows[3][4])
+        assert 1.0 < margin < 1e3
+        assert all(float(row[4]) > 1e3 for row in rows[4:])
+        assert r.headline["min_rank_margin"] == margin
+        # the second warning: three quadrics in d = 2 fill every degree >= 2
+        assert r.warnings[0] == (
+            f"degree 2: rank decision within a factor {margin:.3g} of the threshold "
+            "rank_tol * s_0"
+        )
+        assert len(r.warnings) == 2 and "finite-co-dimensional" in r.warnings[1]
+
+    def test_dims_monomial_ideal_has_no_margins(self, tmp_path):
+        doc = dict(BASE)
+        doc["ideal"] = {"generators": [[[[1, 1], 1.0, 0.0]]]}
+        doc["experiments"] = [{"id": "dims", "kind": "dims"}]
+        (r,) = run(load_config(write_config(tmp_path, doc)), tmp_path / "out")
+        assert r.warnings == [] and r.headline["min_rank_margin"] is None
+        assert all(row[4] is None for row in r.series["dims"])
 
     def test_commutator_experiment(self, tmp_path):
         doc = dict(BASE)
