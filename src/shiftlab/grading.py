@@ -335,6 +335,21 @@ class HilbertFunction:
     # degree is a selection and no rank was decided
     rank_margins: list[float | None] = field(default_factory=list)
 
+    @classmethod
+    def from_basis(cls, basis: "GradedComplementBasis") -> "HilbertFunction":
+        """The table of an already built basis, up to its n_max."""
+        degrees = range(basis.n_max + 1)
+        dh = [basis.dim_complement(n) for n in degrees]
+        # a vanishing tail means every high-degree polynomial is in the ideal
+        tail = dh[max(1, basis.n_max // 2):]
+        return cls(
+            dh,
+            [basis.dim_ideal(n) for n in degrees],
+            [basis.record(n).dim_total for n in degrees],
+            bool(tail) and all(x == 0 for x in tail),
+            [basis.record(n).rank_margin for n in degrees],
+        )
+
     def rows(self):
         for n, (t, di, dh) in enumerate(
             zip(self.dims_total, self.dims_ideal, self.dims_complement)
@@ -355,12 +370,4 @@ def hilbert_function(
     """
     if weights is None:
         weights = WeightScheme(0.5, ideal.d)
-    basis = GradedComplementBasis(ideal, weights, n_max, rank_tol)
-    dh = [basis.dim_complement(n) for n in range(n_max + 1)]
-    di = [basis.dim_ideal(n) for n in range(n_max + 1)]
-    dt = [basis.record(n).dim_total for n in range(n_max + 1)]
-    margins = [basis.record(n).rank_margin for n in range(n_max + 1)]
-    # a vanishing tail means every high-degree polynomial is in the ideal
-    tail = dh[max(1, n_max // 2):]
-    suspect = bool(tail) and all(x == 0 for x in tail)
-    return HilbertFunction(dh, di, dt, suspect, margins)
+    return HilbertFunction.from_basis(GradedComplementBasis(ideal, weights, n_max, rank_tol))

@@ -125,19 +125,24 @@ class ShiftBlocks:
     def row_defect_block(self, n: int) -> np.ndarray:
         """I - sum_i S_i S_i* on H_n."""
         dim = self.basis.dim_complement(n)
+        if n == 0:
+            return np.eye(dim, dtype=complex)
+        blocks = [self.shift_block(i, n - 1) for i in range(1, self.d + 1)]
+        if _selection_pair(self.basis.record(n - 1), self.basis.record(n)):
+            return _diagonal_defect(blocks, axis=1, dim=dim)
         out = np.eye(dim, dtype=complex)
-        if n >= 1:
-            for i in range(1, self.d + 1):
-                B = self.shift_block(i, n - 1)
-                out -= B @ B.conj().T
+        for B in blocks:
+            out -= B @ B.conj().T
         return out
 
     def column_defect_block(self, n: int) -> np.ndarray:
         """I - sum_i S_i* S_i on H_n."""
         dim = self.basis.dim_complement(n)
+        blocks = [self.shift_block(i, n) for i in range(1, self.d + 1)]
+        if _selection_pair(self.basis.record(n), self.basis.record(n + 1)):
+            return _diagonal_defect(blocks, axis=0, dim=dim)
         out = np.eye(dim, dtype=complex)
-        for i in range(1, self.d + 1):
-            B = self.shift_block(i, n)
+        for B in blocks:
             out -= B.conj().T @ B
         return out
 
@@ -353,6 +358,23 @@ class ShiftBlocks:
             dictionary_size=Dmat.shape[1],
             dictionary_rank=int(rank),
         )
+
+
+def _selection_pair(src, dst) -> bool:
+    """Whether both degree records are selections.  Then each S_i block maps
+    e_alpha to a multiple of e_(alpha+e_i) or to 0, so it has at most one
+    nonzero per row and per column, and B B* and B* B are diagonal."""
+    return src.is_selection and dst.is_selection
+
+
+def _diagonal_defect(blocks, axis: int, dim: int) -> np.ndarray:
+    """I - sum_i B_i B_i* (axis=1) or I - sum_i B_i* B_i (axis=0) for blocks
+    of a selection pair: the diagonal is 1 minus the blocks' squared row
+    (column) norms, subtracted in the order of the dense products."""
+    diag = np.ones(dim)
+    for B in blocks:
+        diag -= (B.real ** 2 + B.imag ** 2).sum(axis=axis)
+    return np.diag(diag.astype(complex))
 
 
 def _monotonicity_violations(grid: dict, tol: float = 1e-10) -> list:

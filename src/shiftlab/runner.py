@@ -29,8 +29,8 @@ from .boundary import (
 )
 from .grading import (
     GradedComplementBasis,
+    HilbertFunction,
     HomogeneousIdeal,
-    hilbert_function,
 )
 from .operators import (
     ShiftBlocks,
@@ -543,7 +543,9 @@ def _run_aastar(cfg, spec, caches, out_dir: Path) -> ExperimentReport:
 def _run_dims(cfg, spec, caches, out_dir: Path) -> ExperimentReport:
     t0 = time.perf_counter()
     n_max = int(spec.params.get("n_max", cfg.n_max))
-    hf = hilbert_function(cfg.ideal, n_max, rank_tol=cfg.rank_tol)
+    # dims do not depend on sigma: read them, as hilbert_function does, off
+    # the sigma = 1/2 basis, here the one the other experiments share
+    hf = HilbertFunction.from_basis(caches.blocks(0.5, n_max).basis)
     rows = [[n, t, di, dh, margin]
             for (n, t, di, dh), margin in zip(hf.rows(), hf.rank_margins)]
     _write_csv(

@@ -436,6 +436,83 @@ class TestMonomialIdealClosedForm:
                     assert np.abs(C - ref).max(initial=0.0) <= 1e-12
 
 
+def _dense_defects(blocks, n):
+    """I - sum_i B B^H and I - sum_i B^H B as the dense products every degree
+    used before selection pairs read the diagonal off the blocks."""
+    dim = blocks.basis.dim_complement(n)
+    row = np.eye(dim, dtype=complex)
+    col = np.eye(dim, dtype=complex)
+    for i in range(1, blocks.d + 1):
+        if n >= 1:
+            B = blocks.shift_block(i, n - 1)
+            row -= B @ B.conj().T
+        B = blocks.shift_block(i, n)
+        col -= B.conj().T @ B
+    return row, col
+
+
+def _quadric():
+    w1, w2, w3 = (Polynomial.variable(3, i) for i in (1, 2, 3))
+    return w1 ** 2 + w2 ** 2 + w3 ** 2
+
+
+class TestDiagonalDefects:
+    """Defects of selection pairs, read off the blocks' row and column norms,
+    against the dense sums they replace; and the degrees where a selection
+    meets an SVD degree, which keep the dense products."""
+
+    def assert_dense_agree(self, blocks, degrees):
+        for n in degrees:
+            row, col = _dense_defects(blocks, n)
+            R, C = blocks.row_defect_block(n), blocks.column_defect_block(n)
+            assert R.shape == row.shape and C.shape == col.shape
+            assert R.dtype == C.dtype == complex
+            assert np.abs(R - row).max(initial=0.0) <= 1e-12
+            assert np.abs(C - col).max(initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("d, gens", MONOMIAL_IDEALS)
+    def test_monomial_ideals(self, d, gens, sigma):
+        self.assert_dense_agree(monomial_blocks(d, gens, sigma, 12), range(12))
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_quadric_transition(self, sigma):
+        blocks = make_blocks([_quadric()], d=3, sigma=sigma, n_max=4)
+        rec = blocks.basis.record
+        assert rec(1).is_selection and not rec(2).is_selection
+        self.assert_dense_agree(blocks, range(4))
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_monomial_then_binomial_transition(self, sigma):
+        # z1^2 makes degrees 0..2 selections, z2^3 + z1 z2^2 makes degree 3
+        # an SVD degree; the column defect at 2 is not diagonal
+        gens = [mono(2, 0), mono(0, 3) + mono(1, 2)]
+        blocks = make_blocks(gens, sigma=sigma, n_max=8)
+        rec = blocks.basis.record
+        assert rec(2).is_selection and not rec(3).is_selection
+        C = blocks.column_defect_block(2)
+        assert np.abs(C - np.diag(np.diag(C))).max() > 1e-3
+        self.assert_dense_agree(blocks, range(8))
+
+    @pytest.mark.parametrize("gens, d", [([], 2), ([mono(1, 1)], 2), ([_quadric()], 3)])
+    def test_degree_zero_row_defect_is_identity(self, gens, d):
+        R = make_blocks(gens, d=d, n_max=3).row_defect_block(0)
+        assert R.dtype == complex and np.array_equal(R, np.eye(1))
+
+    def test_zero_dimensional_complement(self):
+        # (z1, z2^2): H_1 is spanned by z2 and H_n = 0 for n >= 2
+        blocks = make_blocks([mono(1, 0), mono(0, 2)], n_max=6)
+        for n in range(2, 6):
+            assert blocks.row_defect_block(n).shape == (0, 0)
+            assert blocks.column_defect_block(n).shape == (0, 0)
+        self.assert_dense_agree(blocks, range(6))
+
+    def test_column_defect_at_n_max_raises(self, z1z2_blocks):
+        n_max = z1z2_blocks.n_max
+        with pytest.raises(IndexError, match=f"degree {n_max + 1} beyond cached n_max={n_max}"):
+            z1z2_blocks.column_defect_block(n_max)
+
+
 def _svd_complement(gens, d, sigma, n):
     """The complement basis as it was built for every ideal before monomial
     ideals became selections: an SVD of the unscaled weighted multiples

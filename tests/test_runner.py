@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from shiftlab.cli import main as cli_main
+from shiftlab.grading import GradedComplementBasis, hilbert_function
 from shiftlab.runner import ConfigError, RunConfig, compare, load_config, run
 
 
@@ -222,6 +223,30 @@ class TestRun:
         (r,) = run(load_config(write_config(tmp_path, doc)), tmp_path / "out")
         assert r.warnings == [] and r.headline["min_rank_margin"] is None
         assert all(row[4] is None for row in r.series["dims"])
+
+    def test_dims_shares_the_cached_basis(self, tmp_path, monkeypatch):
+        # dims reads its table off the sigma = 1/2 basis the besov experiment
+        # also uses, so (z1^2 + z2^2) is built once, not twice
+        builds = []
+        init = GradedComplementBasis.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GradedComplementBasis, "__init__", counting_init)
+        doc = dict(BASE)
+        doc["n_max"] = 12
+        doc["ideal"] = {"generators": [[[[2, 0], 1.0, 0.0], [[0, 2], 1.0, 0.0]]]}
+        doc["experiments"] = [{"id": "dims", "kind": "dims"},
+                              {"id": "besov", "kind": "besov"}]
+        cfg = load_config(write_config(tmp_path, doc))
+        dims, besov = run(cfg, tmp_path / "out")
+        assert dims.status == besov.status == "ok"
+        assert len(builds) == 1
+        hf = hilbert_function(cfg.ideal, 12, rank_tol=cfg.rank_tol)
+        assert dims.headline["dims_complement"] == hf.dims_complement
+        assert [row[4] for row in dims.series["dims"]] == hf.rank_margins
 
     def test_commutator_experiment(self, tmp_path):
         doc = dict(BASE)
