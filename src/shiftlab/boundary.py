@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grading import HomogeneousIdeal, monomial_exponents, monomial_weights
-from .operators import ShiftBlocks
+from .operators import ShiftBlocks, _narrow_window_message
 from .polynomials import MatrixPolynomial, Polynomial, as_matrix_polynomial
 
 __all__ = [
@@ -370,6 +370,7 @@ class CharacterCheckResult:
     operator_norm: float
     lower_bound_slack: float  # operator_norm + discrepancy - |p(lambda)|
     projection_residual: float
+    warnings: list[str] = field(default_factory=list)  # narrow window, if N < deg p
 
 
 def character_check(
@@ -415,7 +416,13 @@ def character_check(
             value += np.vdot(proj[n + k], blocks.mult_block(q, n) @ proj[n])
     value = complex(value)
     pv = p(lam)
-    opn = blocks.window_norm(p, (0, N))
+    # parts of degree above N map degrees 0..N out of the window, so they
+    # drop out of its compression; the narrow window is reported, not warned
+    warnings, in_window = [], p
+    if p.degree > N:
+        warnings.append(_narrow_window_message(p.degree, (0, N)))
+        in_window = Polynomial(p.d, {a: c for a, c in p.coeffs.items() if sum(a) <= N})
+    opn = blocks.window_norm(in_window, (0, N))
     disc = abs(value - pv)
     return CharacterCheckResult(
         vector_state_value=value,
@@ -424,4 +431,5 @@ def character_check(
         operator_norm=float(opn),
         lower_bound_slack=float(opn + disc - abs(pv)),
         projection_residual=float(np.sqrt(proj_res_sq)),
+        warnings=warnings,
     )

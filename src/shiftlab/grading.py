@@ -6,9 +6,10 @@ inner product on coordinate vectors is the weighted inner product on
 polynomials.  Distinct monomials are orthogonal, so where every generator of
 degree <= n is a single monomial, I_n is spanned by the monomials some
 generator divides and H_n by the rest (the standard monomials): the basis is
-an exact selection.  Other degrees take an SVD of the generator multiples,
-with columns scaled to unit norm, and record how near the rank decision came
-to its threshold.
+an exact selection.  Other degrees take a column-pivoted Householder QR
+(Businger and Golub) of the generator multiples, with columns scaled to unit
+norm, in real arithmetic when the generators' coefficients are real, and
+record how near the rank decision came to its threshold.
 """
 
 from __future__ import annotations
@@ -137,9 +138,10 @@ class _DegreeRecord:
     A *selection* (every generator of degree <= n is a monomial) holds the
     positions in ``monomials`` of the monomials in I_n and of the standard
     monomials, as 1-d index arrays, and makes no rank decision.  Otherwise
-    both are matrices with orthonormal columns, from an SVD, and
-    ``rank_margin`` says how far, as a factor, the nearest singular value
-    sat from the threshold ``rank_tol * s_0``.
+    both are column blocks of the Q of a pivoted QR, real when the
+    generators are, and ``rank_margin`` says how far, as a factor, the
+    diagonal entry |R_jj| nearest the threshold ``rank_tol * |R_00|`` sat
+    from it.
     """
 
     n: int
@@ -178,11 +180,12 @@ def _selection_matrix(positions: np.ndarray, t: int) -> np.ndarray:
     return Q
 
 
-def _rank_margin(s: np.ndarray, threshold: float) -> float:
-    """min_j max(s_j / threshold, threshold / s_j): the factor by which the
-    singular value nearest the threshold clears it (inf for an exact zero)."""
+def _rank_margin(r: np.ndarray, threshold: float) -> float:
+    """min_j max(r_j / threshold, threshold / r_j) for r_j = |R_jj|: the
+    factor by which the diagonal entry nearest the threshold clears it (inf
+    for an exact zero)."""
     with np.errstate(divide="ignore"):
-        return float(np.exp(np.abs(np.log(s / threshold)).min()))
+        return float(np.exp(np.abs(np.log(r / threshold)).min()))
 
 
 class GradedComplementBasis:
@@ -303,24 +306,34 @@ class GradedComplementBasis:
 
         # columns z^beta g in weighted coordinates, scaled to unit norm: the
         # weights spread over many orders of magnitude in n, and unscaled
-        # columns would drag full-rank singular values under the threshold
+        # columns would drag full-rank diagonal entries under the threshold.
+        # Real generators give a real A, so the factorization runs in real
+        # arithmetic and the basis is real.
+        real = all(c.imag == 0 for g in gens for c in g.coeffs.values())
         betas = [monomial_exponents(self.d, n - g.degree) for g in gens]
-        A = np.zeros((len(monos), sum(map(len, betas))), dtype=complex)
+        A = np.zeros((len(monos), sum(map(len, betas))), dtype=float if real else complex)
         norm_sq = np.zeros(A.shape[1])  # the terms of a column are orthogonal
         start = 0
         for g, B in zip(gens, betas):
             cols = np.arange(start, start + len(B))
             for alpha, c in g.coeffs.items():
                 rows = monomial_rank(B + np.array(alpha))
-                A[rows, cols] += c * sw[rows]
+                A[rows, cols] += (c.real if real else c) * sw[rows]
                 norm_sq[cols] += abs(c) ** 2 * sw[rows] ** 2
             start += len(B)
         A /= np.sqrt(norm_sq)
-        U, s, _ = np.linalg.svd(A, full_matrices=True)
-        threshold = self.rank_tol * s[0]
-        r = int(np.count_nonzero(s > threshold))
-        return _DegreeRecord(n, monos, sw, U[:, :r], U[:, r:],
-                             _rank_margin(s, threshold))
+        # column-pivoted Householder QR: |R_jj| is non-increasing, and the
+        # first r columns of Q span the pivoted columns kept by the rank test.
+        # scipy.linalg is loaded with the package (through scipy.sparse.linalg),
+        # so importing it here costs nothing.
+        from scipy.linalg import qr
+
+        Q, R, _ = qr(A, pivoting=True)
+        diag = np.abs(np.diagonal(R))
+        threshold = self.rank_tol * diag[0]
+        r = int(np.count_nonzero(diag > threshold))
+        return _DegreeRecord(n, monos, sw, Q[:, :r], Q[:, r:],
+                             _rank_margin(diag, threshold))
 
 
 @dataclass
@@ -331,8 +344,8 @@ class HilbertFunction:
     dims_ideal: list[int]
     dims_total: list[int]
     finite_codimension_suspected: bool = field(default=False)
-    # per degree, the SVD's rank margin (see _DegreeRecord); None where the
-    # degree is a selection and no rank was decided
+    # per degree, the pivoted QR's rank margin (see _DegreeRecord); None
+    # where the degree is a selection and no rank was decided
     rank_margins: list[float | None] = field(default_factory=list)
 
     @classmethod

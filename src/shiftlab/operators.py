@@ -101,7 +101,7 @@ class ShiftBlocks:
                 c = q.coeffs[(0,) * self.d]
                 blk = c * np.eye(self.basis.dim_complement(n), dtype=complex)
             else:
-                # a selection's basis is its support, so only SVD degrees
+                # a selection's basis is its support, so only QR degrees
                 # need the change of basis Q^H M Q
                 blk = self._mult_matrix(q, n)
                 src, dst = self.basis.record(n), self.basis.record(n + k)
@@ -155,10 +155,7 @@ class ShiftBlocks:
                 f"window {window} not inside cached degrees 0..{self.n_max}"
             )
         if p.degree > M - m:
-            warnings.warn(
-                f"polynomial degree {p.degree} exceeds window width {M - m}",
-                stacklevel=3,
-            )
+            warnings.warn(_narrow_window_message(p.degree, window), stacklevel=3)
 
     def window_norm(self, p, window: tuple[int, int]) -> float:
         """||P_[m,M] p(S) P_[m,M]|| for a (matrix-valued) polynomial p.
@@ -360,6 +357,12 @@ class ShiftBlocks:
         )
 
 
+def _narrow_window_message(degree: int, window: tuple[int, int]) -> str:
+    """What a window too narrow for a symbol of this degree is reported with:
+    its parts of degree above M - m map the whole window out of it."""
+    return f"polynomial degree {degree} exceeds window width {window[1] - window[0]}"
+
+
 def _selection_pair(src, dst) -> bool:
     """Whether both degree records are selections.  Then each S_i block maps
     e_alpha to a multiple of e_(alpha+e_i) or to 0, so it has at most one
@@ -402,21 +405,30 @@ class BandedTruncation:
 
 
 def operator_norm(t) -> float:
-    """Largest singular value; dense SVD for small matrices, ARPACK above."""
+    """Largest singular value; dense SVD for small matrices, ARPACK above.
+
+    A complex matrix whose imaginary parts are all exactly zero (the blocks
+    of a real symbol on a real basis) is taken by its real part, so either
+    path runs in real arithmetic.
+    """
     mat = t.matrix if isinstance(t, BandedTruncation) else t
     if sp.issparse(mat):
         if min(mat.shape) == 0 or mat.nnz == 0:
             return 0.0
+        if np.iscomplexobj(mat.data) and not mat.data.imag.any():
+            mat = mat.real
         if max(mat.shape) <= DENSE_NORM_CUTOFF:
             return float(np.linalg.norm(mat.toarray(), 2))
         s = spla.svds(
-            mat.astype(complex), k=1, return_singular_vectors=False,
+            mat, k=1, return_singular_vectors=False,
             tol=ITERATIVE_TOL, maxiter=ITERATIVE_MAXITER,
         )
         return float(s[0])
     mat = np.asarray(mat)
     if mat.size == 0 or not mat.any():
         return 0.0
+    if np.iscomplexobj(mat) and not mat.imag.any():
+        mat = mat.real
     if max(mat.shape) <= DENSE_NORM_CUTOFF:
         return float(np.linalg.norm(mat, 2))
     s = spla.svds(

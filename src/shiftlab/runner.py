@@ -502,6 +502,7 @@ def _run_character(cfg, spec, caches, out_dir: Path) -> ExperimentReport:
             "truncation_degree": N,
         },
         wall_time=time.perf_counter() - t0,
+        warnings=res.warnings,
     )
 
 
@@ -555,7 +556,7 @@ def _run_dims(cfg, spec, caches, out_dir: Path) -> ExperimentReport:
     )
     warn = [
         f"degree {n}: rank decision within a factor {margin:.3g} of the "
-        f"threshold rank_tol * s_0"
+        f"threshold rank_tol * |R_00|"
         for n, margin in enumerate(hf.rank_margins)
         if margin is not None and margin < RANK_MARGIN_WARNING
     ]

@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's basis and block paths: dimensions
 come from combinatorial monomial counting or exact rational row reduction,
-norms from direct enumeration, monomial-ideal blocks and defects from their
-closed forms, and gradients from central finite differences.
+complement projectors from exact rational Gram-Schmidt or from the full SVD
+the basis was once built with, norms from direct enumeration,
+monomial-ideal blocks and defects from their closed forms, and gradients
+from central finite differences.
 """
 
 from fractions import Fraction
@@ -12,7 +14,7 @@ import math
 
 import numpy as np
 
-from shiftlab.grading import monomial_basis
+from shiftlab.grading import monomial_basis, monomial_weights
 
 
 def monomial_ideal_degree_dim(gen_exponents, d, n):
@@ -118,6 +120,93 @@ def ideal_degree_dim_exact(generators, d, n):
                 col[idx[gamma]] += Fraction(c.real).limit_denominator(10**12)
             cols.append(col)
     return rational_rank(cols)
+
+
+def _generator_columns(generators, d, n):
+    """The multiples z^beta g of degree n, as coefficient columns over
+    monomial_basis(d, n): a list of {position: coefficient} dicts."""
+    idx = {a: k for k, a in enumerate(monomial_basis(d, n))}
+    cols = []
+    for g in generators:
+        if g.degree > n:
+            continue
+        for beta in monomial_basis(d, n - g.degree):
+            col = {}
+            for alpha, c in g.coeffs.items():
+                k = idx[tuple(b + a for b, a in zip(beta, alpha))]
+                col[k] = col.get(k, 0) + c
+            cols.append(col)
+    return cols
+
+
+def svd_complement_basis(generators, d, n, sigma, rank_tol):
+    """(ideal basis, complement basis, rank margin) of degree n by the full
+    SVD the library used before its pivoted QR.
+
+    The multiples z^beta g, in weighted coordinates and scaled to unit norm,
+    are the columns of A; with A = U S V^H, the rank r counts the singular
+    values above rank_tol * s_0, I_n is U[:, :r] and H_n is U[:, r:], and the
+    margin is min_j max(s_j / thr, thr / s_j).  With no multiple of degree n,
+    H_n is everything and the margin is None.
+    """
+    sw = np.sqrt(monomial_weights(d, n, sigma))
+    t = len(sw)
+    cols = _generator_columns(generators, d, n)
+    if not cols:
+        return np.zeros((t, 0), dtype=complex), np.eye(t, dtype=complex), None
+    A = np.zeros((t, len(cols)), dtype=complex)
+    for j, col in enumerate(cols):
+        for k, c in col.items():
+            A[k, j] = c * sw[k]
+    A /= np.linalg.norm(A, axis=0)
+    U, s, _ = np.linalg.svd(A, full_matrices=True)
+    thr = rank_tol * s[0]
+    r = int(np.count_nonzero(s > thr))
+    with np.errstate(divide="ignore"):
+        margin = float(np.exp(np.abs(np.log(s / thr)).min()))
+    return U[:, :r], U[:, r:], margin
+
+
+def complement_projector_exact(generators, d, n, sigma):
+    """Exact projector onto H_n in plain coefficient coordinates.
+
+    The inner product of degree n has the rational Gram matrix
+    G = diag(c_{sigma,n} alpha!/n!) (sigma = 1/2 or 1, where
+    c_{1/2,n} = 1 and c_{1,n} = 1/(n+1)).  Gram-Schmidt in G over Fractions
+    turns the multiples z^beta g into an orthogonal basis v_j of I_n
+    (dependent columns leave a zero residual and are dropped), and the
+    projector onto H_n is I - sum_j v_j (G v_j)^T / (v_j^T G v_j), returned
+    as a float matrix.  The coefficients must be real (taken at their exact
+    binary value).
+    """
+    c_n = {Fraction(1, 2): Fraction(1), Fraction(1): Fraction(1, n + 1)}[Fraction(sigma)]
+    monos = monomial_basis(d, n)
+    t = len(monos)
+    G = [c_n * Fraction(math.prod(map(math.factorial, a)), math.factorial(n)) for a in monos]
+
+    def dot(x, y):
+        return sum(G[k] * x[k] * y[k] for k in range(t))
+
+    basis = []
+    for col in _generator_columns(generators, d, n):
+        if any(c.imag != 0 for c in col.values()):
+            raise ValueError("exact projector needs real coefficients")
+        v = [Fraction(0)] * t
+        for k, c in col.items():
+            v[k] = Fraction(c.real)
+        for u, uu in basis:
+            f = dot(u, v) / uu
+            v = [a - f * b for a, b in zip(v, u)]
+        if any(v):
+            basis.append((v, dot(v, v)))
+    P = [[Fraction(int(i == j)) for j in range(t)] for i in range(t)]
+    for v, vv in basis:
+        Gv = [G[k] * v[k] for k in range(t)]
+        for i in range(t):
+            if v[i]:
+                for j in range(t):
+                    P[i][j] -= v[i] * Gv[j] / vv
+    return np.array([[float(x) for x in row] for row in P])
 
 
 def monomial_window_norm(beta, m, M):

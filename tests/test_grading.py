@@ -15,7 +15,13 @@ from shiftlab.grading import (
 )
 from shiftlab.polynomials import Polynomial, WeightScheme, besov_weight
 
-from oracles import ideal_degree_dim_exact, monomial_ideal_degree_dim, standard_monomials
+from oracles import (
+    complement_projector_exact,
+    ideal_degree_dim_exact,
+    monomial_ideal_degree_dim,
+    standard_monomials,
+    svd_complement_basis,
+)
 
 
 def mono(*alpha):
@@ -202,7 +208,7 @@ class TestSelectionBasis:
 
 
 class TestRankDecisions:
-    """The SVD path, with unit-norm columns, at degrees where the unscaled
+    """The pivoted-QR path, with unit-norm columns, at degrees where the unscaled
     weighted columns spread over more orders of magnitude than rank_tol."""
 
     def test_sum_of_squares_dims_at_high_degree(self):
@@ -243,22 +249,122 @@ class TestRankDecisions:
         assert hf.rank_margins[:2] == [None, None]
         assert hf.rank_margins[2:] == pytest.approx([1e6, 1e6], rel=1e-12)
 
-    def test_margin_measures_the_nearest_singular_value(self):
+    def test_margin_measures_the_nearest_diagonal_entry(self):
         # (z1 + z2)^2 and (z1 - z2)^2 span a plane of degree 2 that the third
-        # generator leaves by 1e-7; its singular value is nearest the threshold
+        # generator leaves by 1e-7.  Whichever of the two near-parallel unit
+        # columns the pivoting puts last, |R_22| is its distance from the span
+        # of the other two, and the two distances agree to about 1e-7
+        # relative; |R_00| is 1, the norm of a unit column
         g1, g2 = (z(1) + z(2)) ** 2, (z(1) - z(2)) ** 2
         I = HomogeneousIdeal.from_generators([g1, g2, g1 + 1e-7 * z(1) ** 2], 2)
         basis = GradedComplementBasis(I, W, 2)
         rec = basis.record(2)
         A = np.column_stack([basis.to_weighted_coords(g, 2) for g in I.generators])
-        s = np.linalg.svd(A / np.linalg.norm(A, axis=0), compute_uv=False)
-        thr = basis.rank_tol * s[0]
+        A /= np.linalg.norm(A, axis=0)
+        coef = np.linalg.lstsq(A[:, :2], A[:, 2], rcond=None)[0]
+        r_last = np.linalg.norm(A[:, 2] - A[:, :2] @ coef)
+        assert 1e-8 < r_last < 1e-7
         assert rec.dim_ideal == 3
-        assert rec.rank_margin == pytest.approx(s[-1] / thr, rel=1e-6)
-        # with a threshold above it, the same value is dropped, by thr / s
+        assert rec.rank_margin == pytest.approx(r_last / basis.rank_tol, rel=1e-6)
+        # with a threshold above it, the same value is dropped, by thr / r
         rec = GradedComplementBasis(I, W, 2, rank_tol=1e-5).record(2)
         assert rec.dim_ideal == 2
-        assert rec.rank_margin == pytest.approx(1e-5 * s[0] / s[-1], rel=1e-6)
+        assert rec.rank_margin == pytest.approx(1e-5 / r_last, rel=1e-6)
+
+
+def _projector(Q):
+    return Q @ Q.conj().T
+
+
+def _w(i):
+    return Polynomial.variable(3, i)
+
+
+QUADRIC = [_w(1) ** 2 + _w(2) ** 2 + _w(3) ** 2]
+NON_MONOMIAL_IDEALS = {
+    "quadric": QUADRIC,
+    "quadric+cubic": QUADRIC + [_w(1) * _w(2) * _w(3)],
+    "mixed": [_w(1) * _w(2), _w(1) ** 2 - _w(2) * _w(3)],
+    "complex": [_w(1) ** 2 + 1j * _w(2) * _w(3), _w(2) ** 3 - _w(1) * _w(3) ** 2],
+}
+
+
+class TestQRAgainstSVD:
+    """The pivoted QR against the full SVD the basis was built with before
+    (``oracles.svd_complement_basis``): same dims, same complement."""
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("name", sorted(NON_MONOMIAL_IDEALS))
+    def test_dims_and_projectors(self, name, sigma):
+        gens = NON_MONOMIAL_IDEALS[name]
+        basis = GradedComplementBasis(
+            HomogeneousIdeal.from_generators(gens, 3), WeightScheme(sigma, 3), 20)
+        for n in range(21):
+            _, Q_svd, _ = svd_complement_basis(gens, 3, n, sigma, basis.rank_tol)
+            Q = basis.complement_basis(n)
+            assert Q.shape == Q_svd.shape
+            assert np.abs(_projector(Q) - _projector(Q_svd)).max(initial=0) <= 1e-12
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-8, 1e-7, 1e-5])
+    def test_near_threshold_rank_decisions(self, rank_tol):
+        g1, g2 = (z(1) + z(2)) ** 2, (z(1) - z(2)) ** 2
+        gens = [g1, g2, g1 + 1e-7 * z(1) ** 2]
+        hf = hilbert_function(HomogeneousIdeal.from_generators(gens, 2), 10,
+                              rank_tol=rank_tol)
+        for n in range(11):
+            P_svd, _, _ = svd_complement_basis(gens, 2, n, 0.5, rank_tol)
+            assert hf.dims_ideal[n] == P_svd.shape[1]
+
+    def test_sum_of_squares_dims_to_degree_122(self):
+        gens = [z(1) ** 2 + z(2) ** 2]
+        hf = hilbert_function(HomogeneousIdeal.from_generators(gens, 2), 122)
+        for n in range(123):
+            P_svd, _, _ = svd_complement_basis(gens, 2, n, 0.5, 1e-10)
+            assert hf.dims_ideal[n] == P_svd.shape[1]
+
+
+class TestExactProjector:
+    """D^(-1/2) Q Q^H D^(1/2), with D the monomial weights, is the projector
+    onto H_n in plain coefficient coordinates; ``complement_projector_exact``
+    computes it over the rationals."""
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0])
+    @pytest.mark.parametrize("name", ["quadric", "mixed"])
+    def test_against_rational_projector(self, name, sigma):
+        gens = NON_MONOMIAL_IDEALS[name]
+        basis = GradedComplementBasis(
+            HomogeneousIdeal.from_generators(gens, 3), WeightScheme(sigma, 3), 6)
+        for n in range(7):
+            sw = basis.sqrt_weights(n)
+            P = _projector(basis.complement_basis(n)) * sw[None, :] / sw[:, None]
+            exact = complement_projector_exact(gens, 3, n, sigma)
+            assert np.abs(P - exact).max() <= 1e-12
+
+
+class TestRealArithmetic:
+    """Real generators give a real basis; everything built on it stays complex."""
+
+    @pytest.mark.parametrize("name", sorted(NON_MONOMIAL_IDEALS))
+    def test_basis_dtype(self, name):
+        gens = NON_MONOMIAL_IDEALS[name]
+        basis = GradedComplementBasis(
+            HomogeneousIdeal.from_generators(gens, 3), WeightScheme(1.0, 3), 6)
+        want = complex if name == "complex" else np.float64
+        for n in range(2, 7):
+            assert not basis.record(n).is_selection
+            assert basis.complement_basis(n).dtype == want
+            assert basis.ideal_degree_basis(n).dtype == want
+
+    def test_blocks_and_defects_stay_complex(self):
+        from shiftlab.operators import ShiftBlocks
+
+        blocks = ShiftBlocks(GradedComplementBasis(
+            HomogeneousIdeal.from_generators(QUADRIC, 3), WeightScheme(1.0, 3), 8))
+        for n in range(7):
+            assert blocks.shift_block(1, n).dtype == complex
+            assert blocks.mult_block(_w(1) * _w(2), n).dtype == complex
+            assert blocks.row_defect_block(n).dtype == complex
+            assert blocks.column_defect_block(n).dtype == complex
 
 
 def test_monomial_rank_is_position_in_monomial_basis():

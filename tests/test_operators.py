@@ -179,6 +179,43 @@ class TestOperatorNorm:
         finally:
             ops.DENSE_NORM_CUTOFF = old
 
+    def test_real_window_of_complex_storage(self):
+        # a real symbol on the quadric's real basis: the assembled window is
+        # complex with imaginary parts exactly zero, and its norm is the one
+        # the complex SVD gives
+        w1, w2, w3 = (Polynomial.variable(3, i) for i in (1, 2, 3))
+        blocks = make_blocks([w1 ** 2 + w2 ** 2 + w3 ** 2], d=3, n_max=12)
+        t = blocks.assemble_polynomial(0.5 + w1 * w2 - 2 * w3 ** 2, (3, 12))
+        assert t.matrix.dtype == complex and not t.matrix.data.imag.any()
+        dense = t.dense()
+        ref = float(np.linalg.norm(dense, 2))
+        assert operator_norm(t) == pytest.approx(ref, rel=1e-14)
+        assert operator_norm(dense) == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_real_matrix_on_the_arpack_path(self, seed):
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+        from shiftlab.operators import DENSE_NORM_CUTOFF, ITERATIVE_MAXITER, ITERATIVE_TOL
+
+        rows = DENSE_NORM_CUTOFF + 100
+        A = sp.random(rows, rows - 50, density=0.002, format="csr",
+                      random_state=seed).astype(complex)
+        # the complex ARPACK call every sparse matrix took before
+        ref = float(spla.svds(A, k=1, return_singular_vectors=False,
+                              tol=ITERATIVE_TOL, maxiter=ITERATIVE_MAXITER)[0])
+        assert operator_norm(A) == pytest.approx(ref, rel=1e-14)
+        tall = A[:, :40].toarray()  # a dense matrix above the cutoff
+        ref = float(np.linalg.norm(tall, 2))
+        assert operator_norm(tall) == pytest.approx(ref, rel=1e-14)
+
+    def test_complex_matrix_keeps_its_imaginary_part(self):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((30, 20)) + 1e-3j * rng.standard_normal((30, 20))
+        ref = float(np.linalg.norm(A, 2))
+        assert abs(ref - np.linalg.norm(A.real, 2)) > 1e-9
+        assert operator_norm(A) == pytest.approx(ref, rel=1e-14)
+
 
 class TestEssentialNorm:
     def test_z1_grid_is_one(self, free_blocks):
@@ -383,6 +420,18 @@ class TestBlockwiseAgreesWithAssembled:
             ref = np.vdot(v, t.matrix @ v)
             assert abs(res.vector_state_value - ref) <= 1e-12
             assert res.operator_norm == pytest.approx(operator_norm(t), abs=1e-12)
+            assert res.warnings == []
+
+    def test_character_narrow_window_is_reported(self):
+        # N = 2 < deg p = 3: the cubic part maps degrees 0..2 out of the
+        # window, so the norm is the one of the parts of degree <= 2, and the
+        # narrow window is in the result, not a warning
+        blocks = make_blocks([mono(1, 1)], n_max=8)
+        p = 0.3 + z(1) ** 3 - 2j * z(1) + z(1) * z(1)
+        res = character_check(p, np.array([0.7, 0.0]), blocks, N=2)
+        assert res.warnings == ["polynomial degree 3 exceeds window width 2"]
+        t = blocks.assemble_polynomial(0.3 - 2j * z(1) + z(1) * z(1), (0, 2))
+        assert res.operator_norm == pytest.approx(operator_norm(t), abs=1e-12)
 
 
 # monomial ideals as (d, generator exponents): the zero ideal, (z1z2) and
@@ -576,10 +625,13 @@ class TestSelectionAgreesWithSVDBasis:
 
     @pytest.mark.parametrize("d, gens", MONOMIAL_IDEALS)
     def test_no_svd_or_identity_basis(self, monkeypatch, d, gens):
+        import scipy.linalg
+
         def forbidden(*args, **kwargs):
-            raise AssertionError("a monomial ideal needs no SVD or identity basis")
+            raise AssertionError("a monomial ideal needs no factorization or identity basis")
 
         monkeypatch.setattr(np.linalg, "svd", forbidden)
+        monkeypatch.setattr(scipy.linalg, "qr", forbidden)
         monkeypatch.setattr(np, "eye", forbidden)
         blocks = monomial_blocks(d, gens, 1.0, 8)
         for n in range(9):

@@ -212,7 +212,7 @@ class TestRun:
         # the second warning: three quadrics in d = 2 fill every degree >= 2
         assert r.warnings[0] == (
             f"degree 2: rank decision within a factor {margin:.3g} of the threshold "
-            "rank_tol * s_0"
+            "rank_tol * |R_00|"
         )
         assert len(r.warnings) == 2 and "finite-co-dimensional" in r.warnings[1]
 
@@ -283,6 +283,24 @@ class TestRun:
         ]
         (r,) = run(load_config(write_config(tmp_path, doc)), tmp_path / "out")
         line = "k=1: rank-deficient dictionary (rank 4 of 5); minimum-norm solution used"
+        assert r.status == "ok" and r.warnings == [line]
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert doc["experiments"][0]["warnings"] == [line]
+        assert f"  warning: {line}" in (tmp_path / "out" / "summary.txt").read_text()
+
+
+    def test_character_narrow_window_warning_in_report(self, tmp_path):
+        # truncation degree 2 below deg p = 3: the warning goes into the
+        # report and the summary (a warning on stderr fails the suite)
+        doc = dict(BASE)
+        doc["experiments"] = [
+            {"id": "char", "kind": "character",
+             "polynomial": [[[3, 0], 1.0, 0.0], [[1, 0], 0.5, 0.0]],
+             "point": [[0.3, 0.0], [0.2, 0.0]],
+             "truncation_degree": 2},
+        ]
+        (r,) = run(load_config(write_config(tmp_path, doc)), tmp_path / "out")
+        line = "polynomial degree 3 exceeds window width 2"
         assert r.status == "ok" and r.warnings == [line]
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert doc["experiments"][0]["warnings"] == [line]
