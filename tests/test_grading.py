@@ -13,6 +13,7 @@ from shiftlab.grading import (
     monomial_weights,
     total_dimension,
 )
+from shiftlab.operators import ShiftBlocks
 from shiftlab.polynomials import Polynomial, WeightScheme, besov_weight
 
 from oracles import (
@@ -356,8 +357,6 @@ class TestRealArithmetic:
             assert basis.ideal_degree_basis(n).dtype == want
 
     def test_blocks_and_defects_stay_complex(self):
-        from shiftlab.operators import ShiftBlocks
-
         blocks = ShiftBlocks(GradedComplementBasis(
             HomogeneousIdeal.from_generators(QUADRIC, 3), WeightScheme(1.0, 3), 8))
         for n in range(7):
