@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 DENSE_NORM_CUTOFF = 2000
-ITERATIVE_TOL = 1e-10
 ITERATIVE_MAXITER = 10000
 
 
@@ -57,14 +56,16 @@ class ShiftBlocks:
 
     # -- raw multiplication in weighted monomial coordinates
 
-    def _mult_matrix(self, q: Polynomial, n: int) -> np.ndarray:
+    def _mult_matrix(self, q: Polynomial, n: int, sparse: bool):
         """Multiplication by homogeneous q of degree k, in weighted monomial
-        coordinates, from the support of degree n to that of degree n+k.
+        coordinates, from the support of degree n to that of degree n+k:
+        dense complex, or (sparse=True) CSR, real when q's coefficients are.
 
         z^alpha goes to sum_gamma c_gamma z^(alpha+gamma), and in weighted
         coordinates each term carries sw(alpha+gamma)/sw(alpha).  On a
         selection the supports are the standard monomials, and a product
-        that lands in the ideal is dropped: that is the compression.
+        that lands in the ideal is dropped: that is the compression.  Each
+        (row, column) pair occurs for one gamma at most.
         """
         src, dst = self.basis.record(n), self.basis.record(n + q.degree)
         cols, dst_support = src.support(), dst.support()
@@ -72,12 +73,21 @@ class ShiftBlocks:
         where[dst_support] = np.arange(len(dst_support))
         alphas = monomial_exponents(self.d, n)[cols]
         sw_src = src.sqrt_weights[cols]
-        M = np.zeros((len(dst_support), len(cols)), dtype=complex)
+        # the dense entries keep complex arithmetic, and with it their bits
+        real = sparse and all(c.imag == 0 for c in q.coeffs.values())
+        triplets = []
         for gamma, c in q.coeffs.items():
             tgt = monomial_rank(alphas + np.array(gamma))
             rows = where[tgt]
             hit = rows >= 0
-            M[rows[hit], np.flatnonzero(hit)] += c * dst.sqrt_weights[tgt[hit]] / sw_src[hit]
+            vals = (c.real if real else c) * dst.sqrt_weights[tgt[hit]] / sw_src[hit]
+            triplets.append((rows[hit], np.flatnonzero(hit), vals))
+        rows, cols_hit, vals = (np.concatenate(x) for x in zip(*triplets))
+        shape = (len(dst_support), len(cols))
+        if sparse:
+            return sp.csr_matrix((vals, (rows, cols_hit)), shape=shape)
+        M = np.zeros(shape, dtype=complex)
+        M[rows, cols_hit] = vals
         return M
 
     def mult_block(self, q: Polynomial, n: int) -> np.ndarray:
@@ -102,13 +112,17 @@ class ShiftBlocks:
                 blk = c * np.eye(self.basis.dim_complement(n), dtype=complex)
             else:
                 # a selection's basis is its support, so only QR degrees
-                # need the change of basis Q^H M Q
-                blk = self._mult_matrix(q, n)
+                # need the change of basis Q^H M Q; there M stays sparse (and
+                # real for a real q) and is applied to the bases.  Above a QR
+                # degree no degree is a selection, so here dst is a QR degree.
                 src, dst = self.basis.record(n), self.basis.record(n + k)
-                if not dst.is_selection:
-                    blk = dst.complement_basis.conj().T @ blk
-                if not src.is_selection:
-                    blk = blk @ src.complement_basis
+                if _selection_pair(src, dst):
+                    blk = self._mult_matrix(q, n, sparse=False)
+                else:
+                    blk = self._mult_matrix(q, n, sparse=True)
+                    if not src.is_selection:
+                        blk = blk @ src.complement_basis
+                    blk = np.asarray(dst.complement_basis.conj().T @ blk, dtype=complex)
             blk.flags.writeable = False
             with self._lock:  # every caller gets the first block stored
                 blk = self._mult_cache.setdefault(key, blk)
@@ -405,37 +419,46 @@ class BandedTruncation:
 
 
 def operator_norm(t) -> float:
-    """Largest singular value; dense SVD for small matrices, ARPACK above.
+    """Largest singular value.
+
+    A dense block of at most ``DENSE_NORM_CUTOFF`` rows and columns takes a
+    dense SVD.  A sparse matrix (an assembled window, or a dense one above
+    the cutoff) gives sigma_1 = sqrt(lambda_max(G)) for its sparse Gram
+    matrix G on the smaller side (A* A or A A*): by a dense symmetric
+    eigensolver up to the cutoff, and above it by implicitly restarted
+    Lanczos (ARPACK) from a fixed start vector, converged to machine
+    precision, so repeated calls give the same bits.
 
     A complex matrix whose imaginary parts are all exactly zero (the blocks
-    of a real symbol on a real basis) is taken by its real part, so either
+    of a real symbol on a real basis) is taken by its real part, so every
     path runs in real arithmetic.
     """
     mat = t.matrix if isinstance(t, BandedTruncation) else t
-    if sp.issparse(mat):
-        if min(mat.shape) == 0 or mat.nnz == 0:
+    if not sp.issparse(mat):
+        mat = np.asarray(mat)
+        if mat.size == 0 or not mat.any():
             return 0.0
-        if np.iscomplexobj(mat.data) and not mat.data.imag.any():
+        if np.iscomplexobj(mat) and not mat.imag.any():
             mat = mat.real
         if max(mat.shape) <= DENSE_NORM_CUTOFF:
-            return float(np.linalg.norm(mat.toarray(), 2))
-        s = spla.svds(
-            mat, k=1, return_singular_vectors=False,
-            tol=ITERATIVE_TOL, maxiter=ITERATIVE_MAXITER,
-        )
-        return float(s[0])
-    mat = np.asarray(mat)
-    if mat.size == 0 or not mat.any():
+            return float(np.linalg.norm(mat, 2))
+        mat = sp.csr_matrix(mat)
+    if min(mat.shape) == 0 or mat.nnz == 0:
         return 0.0
-    if np.iscomplexobj(mat) and not mat.imag.any():
+    if np.iscomplexobj(mat.data) and not mat.data.imag.any():
         mat = mat.real
-    if max(mat.shape) <= DENSE_NORM_CUTOFF:
-        return float(np.linalg.norm(mat, 2))
-    s = spla.svds(
-        sp.csr_matrix(mat), k=1, return_singular_vectors=False,
-        tol=ITERATIVE_TOL, maxiter=ITERATIVE_MAXITER,
-    )
-    return float(s[0])
+    adj = mat.conj().T
+    gram = (adj @ mat if mat.shape[0] >= mat.shape[1] else mat @ adj).tocsr()
+    # ARPACK's complex mode needs order > k + 1 = 2; smaller Grams go dense
+    if max(mat.shape) <= DENSE_NORM_CUTOFF or gram.shape[0] <= 2:
+        lam = np.linalg.eigvalsh(gram.toarray())[-1]
+    else:
+        v0 = np.random.default_rng(0).standard_normal(gram.shape[0])
+        lam = spla.eigsh(
+            gram, k=1, which="LA", tol=0, v0=v0, maxiter=ITERATIVE_MAXITER,
+            return_eigenvectors=False,
+        )[0]
+    return float(np.sqrt(max(float(lam), 0.0)))
 
 
 def _extrapolate_tail(grid: dict) -> float | None:

@@ -4,8 +4,8 @@ These deliberately avoid the library's basis and block paths: dimensions
 come from combinatorial monomial counting or exact rational row reduction,
 complement projectors from exact rational Gram-Schmidt or from the full SVD
 the basis was once built with, norms from direct enumeration,
-monomial-ideal blocks and defects from their closed forms, and gradients
-from central finite differences.
+monomial-ideal blocks and defects from their closed forms, operator norms
+from singular values, and gradients from central finite differences.
 """
 
 from fractions import Fraction
@@ -13,6 +13,8 @@ from itertools import product
 import math
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from shiftlab.grading import monomial_basis, monomial_weights
 
@@ -231,6 +233,35 @@ def monomial_window_norm(beta, m, M):
             shifted = tuple(a + b for a, b in zip(alpha, beta))
             best = max(best, norm_sq(shifted) / norm_sq(alpha))
     return math.sqrt(best)
+
+
+def svd_operator_norm(mat, cutoff=None, tol=1e-10, maxiter=10000):
+    """Largest singular value the way the library once took it: a dense SVD
+    for a matrix of at most ``cutoff`` rows and columns, ARPACK's ``svds``
+    at ``tol`` above (a dense matrix made CSR).  It keeps the matrix's own
+    arithmetic, complex storage included.  ``cutoff`` defaults to
+    ``shiftlab.operators.DENSE_NORM_CUTOFF`` as it is at call time, so a
+    test that patches the cutoff moves both paths together.
+    """
+    if cutoff is None:
+        from shiftlab import operators
+
+        cutoff = operators.DENSE_NORM_CUTOFF
+    mat = getattr(mat, "matrix", mat)  # an assembled BandedTruncation
+    if sp.issparse(mat):
+        if min(mat.shape) == 0 or mat.nnz == 0:
+            return 0.0
+        if max(mat.shape) <= cutoff:
+            return float(np.linalg.norm(mat.toarray(), 2))
+    else:
+        mat = np.asarray(mat)
+        if mat.size == 0 or not mat.any():
+            return 0.0
+        if max(mat.shape) <= cutoff:
+            return float(np.linalg.norm(mat, 2))
+    s = spla.svds(sp.csr_matrix(mat), k=1, return_singular_vectors=False,
+                  tol=tol, maxiter=maxiter)
+    return float(s[0])
 
 
 def kernel_series_exact(r2, two_sigma, N):

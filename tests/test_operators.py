@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from oracles import monomial_defects, monomial_shift_block
+from oracles import monomial_defects, monomial_shift_block, svd_operator_norm
 from shiftlab.boundary import character_check, kernel_vector
 from shiftlab.grading import (
     GradedComplementBasis,
@@ -195,16 +195,13 @@ class TestOperatorNorm:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_real_matrix_on_the_arpack_path(self, seed):
         import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-        from shiftlab.operators import DENSE_NORM_CUTOFF, ITERATIVE_MAXITER, ITERATIVE_TOL
+        from shiftlab.operators import DENSE_NORM_CUTOFF
 
         rows = DENSE_NORM_CUTOFF + 100
         A = sp.random(rows, rows - 50, density=0.002, format="csr",
                       random_state=seed).astype(complex)
         # the complex ARPACK call every sparse matrix took before
-        ref = float(spla.svds(A, k=1, return_singular_vectors=False,
-                              tol=ITERATIVE_TOL, maxiter=ITERATIVE_MAXITER)[0])
-        assert operator_norm(A) == pytest.approx(ref, rel=1e-14)
+        assert operator_norm(A) == pytest.approx(svd_operator_norm(A), rel=1e-14)
         tall = A[:, :40].toarray()  # a dense matrix above the cutoff
         ref = float(np.linalg.norm(tall, 2))
         assert operator_norm(tall) == pytest.approx(ref, rel=1e-14)
@@ -215,6 +212,88 @@ class TestOperatorNorm:
         ref = float(np.linalg.norm(A, 2))
         assert abs(ref - np.linalg.norm(A.real, 2)) > 1e-9
         assert operator_norm(A) == pytest.approx(ref, rel=1e-14)
+
+    def test_repeated_calls_are_bit_identical(self):
+        # the Lanczos start vector is fixed, so the global random state,
+        # consumed between the calls, cannot move the last bits
+        import scipy.sparse as sp
+        from shiftlab.operators import DENSE_NORM_CUTOFF
+
+        rows = DENSE_NORM_CUTOFF + 100
+        A = (sp.random(rows, rows - 50, density=0.004, format="csr", random_state=1)
+             + 1j * sp.random(rows, rows - 50, density=0.004, format="csr", random_state=11))
+        values = []
+        for _ in range(5):
+            values.append(operator_norm(A))
+            np.random.standard_normal(1000)
+        assert len(set(values)) == 1
+
+    @pytest.mark.parametrize("shape", [(2100, 1), (1, 2100), (2100, 2)])
+    def test_one_or_two_columns_above_the_cutoff(self, shape):
+        # a Gram matrix of order 1 or 2 is too small for ARPACK
+        import scipy.sparse as sp
+
+        A = np.random.default_rng(3).standard_normal(shape) * (1 + 0.5j)
+        ref = float(np.linalg.norm(A, 2))
+        assert operator_norm(A) == pytest.approx(ref, rel=1e-14)
+        assert operator_norm(sp.csr_matrix(A)) == pytest.approx(ref, rel=1e-14)
+
+
+class TestGramAgainstSVD:
+    """sqrt(lambda_max) of the sparse Gram matrix, dense or by Lanczos,
+    against the singular values it replaced (``oracles.svd_operator_norm``):
+    dense SVD up to the cutoff, ``svds`` above it."""
+
+    @staticmethod
+    def _windows():
+        w1, w2, w3 = (Polynomial.variable(3, i) for i in (1, 2, 3))
+        quadric = make_blocks([w1 ** 2 + w2 ** 2 + w3 ** 2], d=3, sigma=1.0, n_max=12)
+        complex_ideal = make_blocks([w1 ** 2 + 1j * w2 * w3], d=3, sigma=1.0, n_max=10)
+        return {
+            "real": quadric.assemble_polynomial(0.5 + w1 * w2 - 2 * w3 ** 2, (3, 12)),
+            "inhomogeneous": quadric.assemble_polynomial(0.5 + w1 + w2 * w3, (2, 12)),
+            "complex-symbol": quadric.assemble_polynomial(
+                0.25 + (1 + 2j) * w1 - 1j * w2 * w3, (2, 12)),
+            "complex-ideal": complex_ideal.assemble_polynomial(0.5 + w1 + w2 * w3, (1, 10)),
+            "matrix": quadric.assemble_polynomial(
+                MatrixPolynomial([[w1, w2], [w3, w1 * w2]]), (4, 12)),
+            "wide-matrix": quadric.assemble_polynomial(
+                MatrixPolynomial([[w1, 0.5 + w2 * w3, w3 ** 2]]), (2, 12)),
+        }
+
+    @pytest.fixture(scope="class")
+    def windows(self):
+        return self._windows()
+
+    @pytest.mark.parametrize("cutoff", [None, 10])
+    @pytest.mark.parametrize("name", ["real", "inhomogeneous", "complex-symbol",
+                                      "complex-ideal", "matrix", "wide-matrix"])
+    def test_quadric_windows(self, monkeypatch, windows, name, cutoff):
+        import shiftlab.operators as ops
+
+        t = windows[name]
+        if name.startswith("complex"):
+            assert t.matrix.data.imag.any()
+        if name == "wide-matrix":
+            assert t.matrix.shape[1] == 3 * t.matrix.shape[0]
+        if cutoff is not None:  # both sides take ARPACK
+            monkeypatch.setattr(ops, "DENSE_NORM_CUTOFF", cutoff)
+        ref = svd_operator_norm(t)
+        assert ref > 0.1
+        assert operator_norm(t) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("shape", [(300, 120), (120, 300), (700, 650)])
+    @pytest.mark.parametrize("cutoff", [None, 50])
+    def test_random_complex_sparse(self, monkeypatch, shape, cutoff):
+        import scipy.sparse as sp
+        import shiftlab.operators as ops
+
+        rng = np.random.default_rng(sum(shape))
+        A = (sp.random(*shape, density=0.05, format="csr", random_state=rng)
+             + 1j * sp.random(*shape, density=0.05, format="csr", random_state=rng))
+        if cutoff is not None:
+            monkeypatch.setattr(ops, "DENSE_NORM_CUTOFF", cutoff)
+        assert operator_norm(A) == pytest.approx(svd_operator_norm(A), rel=1e-13)
 
 
 class TestEssentialNorm:
@@ -585,9 +664,9 @@ def _svd_complement(gens, d, sigma, n):
     return U[:, int(np.count_nonzero(s > 1e-10 * s[0])):]
 
 
-def _svd_mult_block(gens, d, sigma, q, n):
-    """Q_{n+k}^H M Q_n, with M the weighted multiplication matrix built by the
-    per-monomial loop this replaced."""
+def _loop_mult_matrix(d, sigma, q, n):
+    """The weighted multiplication matrix by q from all degree-n monomials to
+    all degree-(n+k) ones, dense and complex, by a per-monomial loop."""
     k = q.degree
     src, dst = monomial_basis(d, n), monomial_basis(d, n + k)
     idx = {alpha: b for b, alpha in enumerate(dst)}
@@ -598,7 +677,14 @@ def _svd_mult_block(gens, d, sigma, q, n):
         for gamma, c in q.coeffs.items():
             b = idx[tuple(x + y for x, y in zip(alpha, gamma))]
             M[b, a] += c * sw_dst[b] / sw_src[a]
-    Qs, Qd = _svd_complement(gens, d, sigma, n), _svd_complement(gens, d, sigma, n + k)
+    return M
+
+
+def _svd_mult_block(gens, d, sigma, q, n):
+    """Q_{n+k}^H M Q_n, with M the weighted multiplication matrix built by the
+    per-monomial loop this replaced."""
+    M = _loop_mult_matrix(d, sigma, q, n)
+    Qs, Qd = _svd_complement(gens, d, sigma, n), _svd_complement(gens, d, sigma, n + q.degree)
     return Qd, Qd.conj().T @ M @ Qs, Qs
 
 
@@ -640,6 +726,35 @@ class TestSelectionAgreesWithSVDBasis:
             assert rec.complement_basis.ndim == rec.ideal_basis.ndim == 1
             if n < 8:
                 blocks.shift_block(1, n)
+
+
+class TestSparseMultiplicationOnQRDegrees:
+    """Where either end of a block is a QR degree, M is a sparse matrix (real
+    for a real q) applied to the bases; the block must equal the dense
+    complex Q_dst^H M Q_src it replaced, on the library's own bases."""
+
+    @pytest.mark.parametrize("ideal", ["quadric", "complex"])
+    def test_against_dense_complex_product(self, ideal):
+        w1, w2, w3 = (Polynomial.variable(3, i) for i in (1, 2, 3))
+        gens = {"quadric": [w1 ** 2 + w2 ** 2 + w3 ** 2],
+                "complex": [w1 ** 2 + 1j * w2 * w3, w2 ** 3 - w1 * w3 ** 2]}[ideal]
+        blocks = make_blocks(gens, d=3, sigma=1.0, n_max=9)
+        basis = blocks.basis
+        symbols = [w1, w3, w1 * w2 - 0.5 * w3 ** 2, (2 - 1j) * w2 ** 2 + 1j * w1 * w3,
+                   w1 ** 2 * w3 + 0.25 * w2 ** 3]
+        seen_pairs = set()
+        for q in symbols:
+            for n in range(10 - q.degree):
+                src, dst = basis.record(n), basis.record(n + q.degree)
+                seen_pairs.add((src.is_selection, dst.is_selection))
+                ref = (basis.complement_basis(n + q.degree).conj().T
+                       @ _loop_mult_matrix(3, 1.0, q, n) @ basis.complement_basis(n))
+                blk = blocks.mult_block(q, n)
+                assert blk.dtype == complex and not blk.flags.writeable
+                assert blk.shape == ref.shape
+                assert np.abs(blk - ref).max(initial=0.0) <= 1e-12
+        # selection -> QR, QR -> QR and selection -> selection all occur
+        assert {(True, False), (False, False), (True, True)} <= seen_pairs
 
 
 class TestBlockCache:
