@@ -235,18 +235,16 @@ def monomial_window_norm(beta, m, M):
     return math.sqrt(best)
 
 
-def svd_operator_norm(mat, cutoff=None, tol=1e-10, maxiter=10000):
+def svd_operator_norm(mat):
     """Largest singular value the way the library once took it: a dense SVD
-    for a matrix of at most ``cutoff`` rows and columns, ARPACK's ``svds``
-    at ``tol`` above (a dense matrix made CSR).  It keeps the matrix's own
-    arithmetic, complex storage included.  ``cutoff`` defaults to
-    ``shiftlab.operators.DENSE_NORM_CUTOFF`` as it is at call time, so a
-    test that patches the cutoff moves both paths together.
+    for a matrix of at most ``shiftlab.operators.DENSE_NORM_CUTOFF`` rows and
+    columns, ARPACK's ``svds`` at tol 1e-10 above (a dense matrix made CSR),
+    in the matrix's own arithmetic, complex storage included.  The cutoff is
+    read at call time, so a test that patches it moves both paths together.
     """
-    if cutoff is None:
-        from shiftlab import operators
+    from shiftlab import operators
 
-        cutoff = operators.DENSE_NORM_CUTOFF
+    cutoff = operators.DENSE_NORM_CUTOFF
     mat = getattr(mat, "matrix", mat)  # an assembled BandedTruncation
     if sp.issparse(mat):
         if min(mat.shape) == 0 or mat.nnz == 0:
@@ -260,7 +258,7 @@ def svd_operator_norm(mat, cutoff=None, tol=1e-10, maxiter=10000):
         if max(mat.shape) <= cutoff:
             return float(np.linalg.norm(mat, 2))
     s = spla.svds(sp.csr_matrix(mat), k=1, return_singular_vectors=False,
-                  tol=tol, maxiter=maxiter)
+                  tol=1e-10, maxiter=10000)
     return float(s[0])
 
 

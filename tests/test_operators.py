@@ -244,8 +244,8 @@ class TestGramAgainstSVD:
     against the singular values it replaced (``oracles.svd_operator_norm``):
     dense SVD up to the cutoff, ``svds`` above it."""
 
-    @staticmethod
-    def _windows():
+    @pytest.fixture(scope="class")
+    def windows(self):
         w1, w2, w3 = (Polynomial.variable(3, i) for i in (1, 2, 3))
         quadric = make_blocks([w1 ** 2 + w2 ** 2 + w3 ** 2], d=3, sigma=1.0, n_max=12)
         complex_ideal = make_blocks([w1 ** 2 + 1j * w2 * w3], d=3, sigma=1.0, n_max=10)
@@ -260,10 +260,6 @@ class TestGramAgainstSVD:
             "wide-matrix": quadric.assemble_polynomial(
                 MatrixPolynomial([[w1, 0.5 + w2 * w3, w3 ** 2]]), (2, 12)),
         }
-
-    @pytest.fixture(scope="class")
-    def windows(self):
-        return self._windows()
 
     @pytest.mark.parametrize("cutoff", [None, 10])
     @pytest.mark.parametrize("name", ["real", "inhomogeneous", "complex-symbol",
