@@ -5,7 +5,9 @@ come from combinatorial monomial counting or exact rational row reduction,
 complement projectors from exact rational Gram-Schmidt or from the full SVD
 the basis was once built with, norms from direct enumeration,
 monomial-ideal blocks and defects from their closed forms, operator norms
-from singular values, and gradients from central finite differences.
+from singular values, gradients from central finite differences, and
+points of a variety from the single-point Gauss-Newton the penalty ascent
+used.
 """
 
 from fractions import Fraction
@@ -299,3 +301,26 @@ def fd_gradient(fun, x, h=1e-6):
         xm[k] -= h
         g[k] = (fun(xp) - fun(xm)) / (2 * h)
     return g
+
+
+def newton_to_variety(ideal, z0, newton_iters=60, newton_tol=1e-12):
+    """Gauss-Newton on the generator system from one point z0, the way the
+    penalty ascent polished its points onto the variety: a nonzero root, or
+    None when a step is not finite, the residual ends above 1e-10 or the norm
+    below 1e-8.  Each step is the least-squares solution of J step = -g."""
+    if not ideal.generators:
+        return z0.copy()
+    jac = [[g.derivative(i) for i in range(1, ideal.d + 1)] for g in ideal.generators]
+    z = z0.astype(complex).copy()
+    for _ in range(newton_iters):
+        g = np.array([p(z) for p in ideal.generators])
+        if np.max(np.abs(g)) <= newton_tol:
+            break
+        J = np.array([[dp(z) for dp in row] for row in jac])
+        step, *_ = np.linalg.lstsq(J, -g, rcond=None)
+        if not np.all(np.isfinite(step)):
+            return None
+        z = z + step
+    if ideal.residual_at(z) > 1e-10 or np.linalg.norm(z) < 1e-8:
+        return None
+    return z

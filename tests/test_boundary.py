@@ -9,7 +9,6 @@ from shiftlab.boundary import (
     VarietyBoundaryNotFound,
     _ascend,
     _feasible_start,
-    _newton_to_variety,
     _Problem,
     boundary_sup,
     character_check,
@@ -24,7 +23,12 @@ from shiftlab.polynomials import (
     as_matrix_polynomial,
 )
 
-from oracles import fd_gradient, kernel_series_exact, sup_abs_on_sphere_grid
+from oracles import (
+    fd_gradient,
+    kernel_series_exact,
+    newton_to_variety,
+    sup_abs_on_sphere_grid,
+)
 
 
 def z(i, d=2):
@@ -60,8 +64,11 @@ class TestBoundarySup:
         assert r.value >= grid - 1e-6
 
     def test_value_dominates_samples(self):
-        cfg = OptimizerConfig(n_starts=8, seed=3, fallback_grid=50)
-        r = boundary_sup(z(1) * z(2), HomogeneousIdeal.zero(2), cfg)
+        p = z(1) * z(2)
+        cfg = OptimizerConfig(n_starts=8, seed=3)
+        r = boundary_sup(p, HomogeneousIdeal.zero(2), cfg)
+        x = _sphere_points(2, 50, 3)  # every sphere point is feasible here
+        assert r.value >= np.abs(p(x[:, :2] + 1j * x[:, 2:])).max()
         assert r.value == pytest.approx(0.5, abs=1e-7)
 
     def test_phase_invariance(self):
@@ -197,6 +204,11 @@ class TestCharacterCheck:
         res = character_check(z(1) ** 3, [0.7, 0.0], blocks, N=36)
         assert res.vector_state_value.real == pytest.approx(0.343, abs=1e-6)
         assert abs(res.point_value) <= res.operator_norm + res.discrepancy + 1e-12
+        assert res.lower_bound_slack >= -1e-12
+        # the result carries the kernel vector it projected
+        kv = kernel_vector([0.7, 0.0], 0.5, 36)
+        assert res.kernel.normalization == kv.normalization
+        assert res.kernel.tail_bound == kv.tail_bound
 
     def test_infeasible_point_rejected(self, blocks):
         with pytest.raises(ValueError):
@@ -207,7 +219,6 @@ class TestConvergenceReport:
     def test_free_coordinate_all_stationary(self):
         r = boundary_sup(z(1), HomogeneousIdeal.zero(2), FAST)
         assert r.n_stationary == r.n_starts == 16
-        assert r.final_penalty == 0.0
         assert r.worst_feasibility_residual <= 1e-10
 
     def test_iteration_cap_reported(self):
@@ -215,12 +226,13 @@ class TestConvergenceReport:
         r = boundary_sup(z(1), HomogeneousIdeal.zero(2), cfg)
         assert r.n_stationary == 0 and r.n_converged == 16
 
-    def test_penalty_reported(self):
+    def test_iterates_feasible_with_generator(self):
+        # every iterate is retracted onto V, so even a capped run is feasible
         I = HomogeneousIdeal.from_generators([z(1) * z(2)], 2)
         cfg = OptimizerConfig(n_starts=8, seed=11, max_iter=5)
         r = boundary_sup(z(1) + z(2), I, cfg)
-        assert r.final_penalty == 10.0 * 10.0**4
-        assert r.worst_feasibility_residual <= cfg.feasibility_tol
+        assert r.n_converged == 8
+        assert r.worst_feasibility_residual <= 1e-10
 
 
 def _sphere_points(d, count, seed):
@@ -229,8 +241,9 @@ def _sphere_points(d, count, seed):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def _old_objective(p, ideal, rho):
-    """The penalized objective as the finite-difference ascent evaluated it."""
+def _penalized_objective(p, ideal, rho):
+    """The penalized objective as the finite-difference ascent evaluated it;
+    rho = 0 gives the objective boundary_sup ascends."""
     p = as_matrix_polynomial(p)
 
     def fun(x):
@@ -242,17 +255,17 @@ def _old_objective(p, ideal, rho):
 
 
 class TestAnalyticGradient:
-    def check(self, p, ideal, rho, points):
+    def check(self, p, ideal, points):
         prob = _Problem(as_matrix_polynomial(p), ideal)
-        fun = _old_objective(p, ideal, rho)
+        fun = _penalized_objective(p, ideal, 0.0)
         for x in points:
-            exact = prob.gradient(x[None], rho)[0]
+            exact = prob.gradient(x[None])[0]
             fd = fd_gradient(fun, x)
             assert np.linalg.norm(exact - fd) <= 1e-6 * np.linalg.norm(fd)
 
     def test_scalar(self):
         p = z(1, 3) ** 2 * z(2, 3) + 2j * z(3, 3) - z(1, 3) * z(3, 3)
-        self.check(p, HomogeneousIdeal.zero(3), 0.0, _sphere_points(3, 20, 1))
+        self.check(p, HomogeneousIdeal.zero(3), _sphere_points(3, 20, 1))
 
     def test_matrix_simple_top_singular_value(self):
         P = MatrixPolynomial([[z(1), z(2)], [z(2) * z(1), z(1) ** 2 - 1j * z(2)]])
@@ -261,17 +274,54 @@ class TestAnalyticGradient:
             if -np.diff(np.linalg.svd(P(x[:2] + 1j * x[2:]), compute_uv=False)) > 1e-2
         ]
         assert len(points) >= 20
-        self.check(P, HomogeneousIdeal.zero(2), 0.0, points)
+        self.check(P, HomogeneousIdeal.zero(2), points)
 
     def test_penalized_with_generator(self):
+        # the generator adds no term: the objective is sigma_1(P) alone
         w1, w2, w3 = (z(i, 3) for i in (1, 2, 3))
         ideal = HomogeneousIdeal.from_generators([w1**2 + w2**2 + w3**2], 3)
-        self.check(w1 * w2, ideal, 10.0, _sphere_points(3, 20, 3))
+        self.check(w1 * w2, ideal, _sphere_points(3, 20, 3))
+
+    def test_tangent_projection(self):
+        # at points of the quadric the tangent part of a vector is orthogonal
+        # to x and to the finite-difference gradients of Re g and Im g, and
+        # differs from the vector by a combination of those normals
+        w1, w2, w3 = (z(i, 3) for i in (1, 2, 3))
+        g = w1**2 + (0.5 - 0.3j) * w2 * w3
+        ideal = HomogeneousIdeal.from_generators([g], 3)
+        prob = _Problem(as_matrix_polynomial(w1), ideal)
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            zz = _feasible_start(prob, rng, FAST)
+            x = np.concatenate([zz.real, zz.imag])
+            N = np.array([x] + [fd_gradient(lambda y, part=part: part(g(y[:3] + 1j * y[3:])), x)
+                                for part in (np.real, np.imag)])
+            v = rng.standard_normal(6)
+            t = prob.tangent(x[None], v[None])[0]
+            assert np.abs(N @ t).max() <= 1e-8
+            coef, *_ = np.linalg.lstsq(N.T, v - t, rcond=None)
+            assert np.linalg.norm(N.T @ coef - (v - t)) <= 1e-8
+
+    def test_tangent_at_singular_point(self):
+        # at e1 every partial derivative of w1 w2 w3 vanishes, so only x is
+        # normal and the projection is the sphere's
+        w1, w2, w3 = (z(i, 3) for i in (1, 2, 3))
+        prob = _Problem(as_matrix_polynomial(w1), HomogeneousIdeal.from_generators([w1 * w2 * w3], 3))
+        x = np.array([1.0, 0, 0, 0, 0, 0])
+        v = np.random.default_rng(6).standard_normal(6)
+        t = prob.tangent(x[None], v[None])[0]
+        assert np.abs(t - (v - (v @ x) * x)).max() <= 1e-15
+
+
+# the penalty ascent's own schedule: rho = 10, 100, ..., 1e5, and its grad_tol
+RHO_INITIAL, RHO_FACTOR, RHO_STAGES, FD_GRAD_TOL = 10.0, 10.0, 5, 1e-9
 
 
 def _fd_ascent_sup(p, ideal, cfg, h=1e-6):
-    """boundary_sup's maximum as the finite-difference ascent computed it:
-    the same starts, each stepped alone with a central-difference gradient."""
+    """The maximum as the penalized finite-difference ascent computed it: the
+    same starts, each stepped alone with a central-difference gradient of
+    sigma_1(P) - rho sum |g|^2 through the penalty stages, then polished onto
+    the variety by single-point Gauss-Newton."""
     p = as_matrix_polynomial(p)
     prob = _Problem(p, ideal)
     rng = np.random.default_rng(cfg.seed)
@@ -287,15 +337,15 @@ def _fd_ascent_sup(p, ideal, cfg, h=1e-6):
         d = len(z0)
         x = np.concatenate([z0.real, z0.imag])
         x = x / np.linalg.norm(x)
-        rho = cfg.penalty_initial
-        for _stage in range(cfg.penalty_stages if ideal.generators else 1):
-            fun = _old_objective(p, ideal, rho if ideal.generators else 0.0)
+        rho = RHO_INITIAL
+        for _stage in range(RHO_STAGES if ideal.generators else 1):
+            fun = _penalized_objective(p, ideal, rho if ideal.generators else 0.0)
             step = cfg.step_initial
             f = fun(x)
             for _ in range(cfg.max_iter):
                 g = fd_gradient(fun, x, h)
                 g_tan = g - (g @ x) * x
-                if np.linalg.norm(g_tan) <= cfg.grad_tol * max(1.0, abs(f)):
+                if np.linalg.norm(g_tan) <= FD_GRAD_TOL * max(1.0, abs(f)):
                     break
                 x_new = x + step * g_tan
                 x_new = x_new / np.linalg.norm(x_new)
@@ -307,9 +357,9 @@ def _fd_ascent_sup(p, ideal, cfg, h=1e-6):
                     step *= 0.5
                     if step < 1e-14:
                         break
-            rho *= cfg.penalty_factor
+            rho *= RHO_FACTOR
         zz = x[:d] + 1j * x[d:]
-        z_pol = _newton_to_variety(prob, zz, cfg)
+        z_pol = newton_to_variety(ideal, zz, cfg.newton_iters, cfg.newton_tol)
         if z_pol is not None:
             zz = z_pol / np.linalg.norm(z_pol)
         feasible = (abs(np.linalg.norm(zz) ** 2 - 1.0) <= cfg.feasibility_tol
@@ -350,8 +400,53 @@ class TestOldAndNewAscent:
         prob = _Problem(p, ideal)
         rng = np.random.default_rng(4)
         starts = np.array([_feasible_start(prob, rng, cfg) for _ in range(8)])
-        points, stationary, rho = _ascend(prob, starts, cfg)
+        points, stationary = _ascend(prob, starts, cfg)
         for k in range(len(starts)):
-            alone, alone_stationary, alone_rho = _ascend(prob, starts[k:k + 1], cfg)
+            alone, alone_stationary = _ascend(prob, starts[k:k + 1], cfg)
             assert np.array_equal(alone[0], points[k])
-            assert alone_stationary[0] == stationary[k] and alone_rho == rho
+            assert alone_stationary[0] == stationary[k]
+
+
+W1, W2, W3 = (z(i, 3) for i in (1, 2, 3))
+QUADRIC = HomogeneousIdeal.from_generators([W1**2 + W2**2 + W3**2], 3)
+NORMAL_CROSSING = HomogeneousIdeal.from_generators([W1 * W2 * W3], 3)
+
+
+class TestAscentOnVarietySphere:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_w1w2_on_quadric(self, seed):
+        r = boundary_sup(W1 * W2, QUADRIC, OptimizerConfig(n_starts=8, seed=seed))
+        assert abs(r.value - 0.5) <= 1e-12
+        assert r.n_stationary == r.n_starts == 8
+        assert r.worst_feasibility_residual <= 1e-10
+
+    def test_inhomogeneous_on_quadric(self):
+        # |p| = 3/4 + 1/sqrt 2 at this point of the quadric's sphere, its sup
+        p = 0.5 + W1 + W2 * W3
+        w_star = np.array([1 / math.sqrt(2), -0.5j, 0.5j])
+        assert QUADRIC.residual_at(w_star) <= 1e-15
+        assert np.linalg.norm(w_star) == pytest.approx(1.0, abs=1e-15)
+        r = boundary_sup(p, QUADRIC, OptimizerConfig(n_starts=8, seed=0))
+        assert r.value >= abs(p(w_star)) - 1e-12
+
+    def test_maximum_at_singular_point(self):
+        # |w1| on V(w1 w2 w3) peaks at e1, where the generator's gradient vanishes
+        r = boundary_sup(W1, NORMAL_CROSSING, OptimizerConfig(n_starts=8, seed=0))
+        assert abs(r.value - 1.0) <= 1e-12
+        assert r.n_stationary == r.n_starts
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_component_reached_with_default_starts(self, seed):
+        # |w1 w2| vanishes on the planes w1 = 0 and w2 = 0 and peaks at 1/2 on
+        # w3 = 0; a start stays on its plane, so one must land on w3 = 0
+        r = boundary_sup(W1 * W2, NORMAL_CROSSING, OptimizerConfig(seed=seed))
+        assert r.n_starts == 64
+        assert abs(r.value - 0.5) <= 1e-12
+
+    def test_demo_sup(self):
+        # the demo's essnorm sup: z1 + z2 on the two circles of (z1 z2)
+        I = HomogeneousIdeal.from_generators([z(1) * z(2)], 2)
+        r = boundary_sup(z(1) + z(2), I, OptimizerConfig(n_starts=32, seed=42))
+        assert abs(r.value - 1.0) <= 1e-10
+        assert r.n_basins == 2
+        assert r.n_stationary == r.n_starts == 32

@@ -74,15 +74,17 @@ class TestConfigValidation:
             RunConfig.from_dict(doc)
 
     def test_unknown_optimizer_key_rejected(self):
-        doc = dict(BASE)
-        doc["experiments"] = [
-            {"id": "e", "kind": "essnorm", "polynomial": [[[1, 0], 1.0, 0.0]],
-             "optimizer": {"n_starts": 4, "fd_step": 1e-6}}
-        ]
-        with pytest.raises(ConfigError) as err:
-            RunConfig.from_dict(doc)
-        assert "'fd_step'" in str(err.value)
-        assert "'n_starts'" in str(err.value) and "'grad_tol'" in str(err.value)
+        # options the optimizer no longer has fail at load, like any typo
+        for key in ("fd_step", "penalty_stages", "fallback_grid"):
+            doc = dict(BASE)
+            doc["experiments"] = [
+                {"id": "e", "kind": "essnorm", "polynomial": [[[1, 0], 1.0, 0.0]],
+                 "optimizer": {"n_starts": 4, key: 1}}
+            ]
+            with pytest.raises(ConfigError) as err:
+                RunConfig.from_dict(doc)
+            assert f"'{key}'" in str(err.value)
+            assert "'n_starts'" in str(err.value) and "'grad_tol'" in str(err.value)
 
 
 def essnorm_config(tmp_path):
@@ -110,7 +112,7 @@ class TestRun:
         assert r.headline["comparison"]["verdict"] == "match"
         # convergence report: every start of z1 on the free sphere is stationary
         assert r.headline["n_stationary"] == 8
-        assert r.headline["final_penalty"] == 0.0
+        assert "final_penalty" not in r.headline
         assert r.headline["worst_feasibility_residual"] <= 1e-8
         assert (tmp_path / "out" / "report.json").exists()
         assert (tmp_path / "out" / "summary.txt").exists()
@@ -247,6 +249,22 @@ class TestRun:
         hf = hilbert_function(cfg.ideal, 12, rank_tol=cfg.rank_tol)
         assert dims.headline["dims_complement"] == hf.dims_complement
         assert [row[4] for row in dims.series["dims"]] == hf.rank_margins
+
+    def test_besov_row_defect_on_quadric(self, tmp_path):
+        # the row defect is (2 sigma - 1)/(n + 2 sigma - 1) on every complement;
+        # the column prediction holds for the zero ideal only
+        doc = dict(BASE)
+        doc["d"] = 3
+        doc["sigma"] = 1.0
+        doc["n_max"] = 12
+        doc["ideal"] = {"generators": [
+            [[[2, 0, 0], 1.0, 0.0], [[0, 2, 0], 1.0, 0.0], [[0, 0, 2], 1.0, 0.0]]]}
+        doc["experiments"] = [{"id": "besov", "kind": "besov"}]
+        (r,) = run(load_config(write_config(tmp_path, doc)), tmp_path / "out")
+        assert r.status == "ok"
+        assert r.headline["max_row_defect_deviation"] <= 1e-12
+        assert "max_column_defect_deviation" not in r.headline
+        assert r.headline["note"] == "the column prediction applies to the zero ideal only"
 
     def test_commutator_experiment(self, tmp_path):
         doc = dict(BASE)
